@@ -4,10 +4,11 @@
 // machine's round-trip MachineSpec JSON plus the query's canonical
 // JSON (protocol.hpp) — so two requests that mean the same sweep
 // point always address the same entry, however they were spelled on
-// the wire.  The 64-bit FNV-1a digest of those bytes is the cache
-// address; the full byte string is kept alongside and compared on
-// every lookup, so a digest collision degrades to a miss, never to a
-// wrong answer.
+// the wire.  The cache indexes entries by those full key bytes (an
+// unordered_map over the key string), so two keys share an entry only
+// when they are byte-equal.  fnv1a64 / cache_key_hash are a compact
+// 64-bit digest of the same bytes for reports and benchmarks; the
+// cache itself never looks at them.
 //
 // Concurrency contract (what makes `serve.cache_hits` a deterministic
 // function of the query stream): lookups are *single-flight*.  The
@@ -43,7 +44,8 @@ std::uint64_t fnv1a64(const std::string& bytes);
 std::string cache_key(const std::string& machine_json,
                       const std::string& query_json);
 
-/// The content address: fnv1a64 over cache_key.
+/// fnv1a64 over cache_key: a short fingerprint of a key for reports.
+/// Not the cache's address — ResultCache compares full key bytes.
 std::uint64_t cache_key_hash(const std::string& machine_json,
                              const std::string& query_json);
 

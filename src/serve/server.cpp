@@ -48,24 +48,51 @@ bool send_all(int fd, const std::string& data) {
   throw std::runtime_error("serve: " + what + ": " + std::strerror(errno));
 }
 
+/// Request references remembered per warm machine.  Past this the
+/// oldest is forgotten (it only loses its fast path), so however many
+/// spellings clients send, a machine's aliases stay bounded.
+constexpr std::size_t kMaxAliasesPerMachine = 8;
+
 }  // namespace
 
-/// All per-machine answering state: the two-tier router plus the
-/// task-graph dispatcher for batched fallbacks, both on the server's
-/// shared pool.  Looked up (and LRU-evicted) by the machine's
-/// canonical JSON; shared_ptr keeps an evicted machine alive for
-/// requests already holding it.
+/// All per-machine answering state: the audited spec, its canonical
+/// JSON, the request references known to resolve to it, the two-tier
+/// router and the task-graph dispatcher for batched fallbacks (both
+/// on the server's shared pool).  Looked up by alias, else by
+/// canonical JSON; LRU-evicted together with its aliases.  shared_ptr
+/// keeps an evicted machine alive for requests already holding it.
 struct Server::MachineState {
-  std::string canonical_json;
+  const sim::MachineSpec spec;
+  const std::string canonical_json;
+  /// Request references that resolved here, as Request's
+  /// (machine_name, machine_inline_json) pair: one member is empty, so
+  /// a name that happens to spell an inline dump never aliases it.
+  /// Oldest first; guarded by Server::machines_mutex_.
+  std::vector<std::pair<std::string, std::string>> aliases;
   predict::QueryRouter router;
   sim::SweepRunner dispatch;
 
-  MachineState(const sim::MachineSpec& spec, std::string canonical,
-               common::ThreadPool& pool)
-      : canonical_json(std::move(canonical)),
+  MachineState(std::string canonical, common::ThreadPool& pool)
+      : spec(sim::MachineSpec::from_json(canonical)),
+        canonical_json(std::move(canonical)),
         router(spec, pool),
         dispatch(pool) {
     dispatch.set_task_label("serve-sim");
+  }
+
+  bool resolves(const Request& request) const {
+    for (const auto& [name, inline_json] : aliases)
+      if (name == request.machine_name &&
+          inline_json == request.machine_inline_json)
+        return true;
+    return false;
+  }
+
+  void remember(const Request& request) {
+    if (resolves(request)) return;
+    if (aliases.size() == kMaxAliasesPerMachine)
+      aliases.erase(aliases.begin());
+    aliases.emplace_back(request.machine_name, request.machine_inline_json);
   }
 };
 
@@ -121,41 +148,62 @@ void Server::count_latency(double seconds) {
   latency_buckets_.back().second.add();
 }
 
+std::shared_ptr<Server::MachineState> Server::warm_machine(
+    const Request& request) {
+  std::lock_guard<std::mutex> lock(machines_mutex_);
+  for (const std::shared_ptr<MachineState>& state : machines_)
+    if (state->resolves(request)) return state;
+  return nullptr;
+}
+
 std::shared_ptr<Server::MachineState> Server::machine_state(
+    const Request& request, const std::shared_ptr<MachineState>& warm,
     const std::string& canonical_json) {
   std::lock_guard<std::mutex> lock(machines_mutex_);
-  for (auto it = machines_.begin(); it != machines_.end(); ++it) {
-    if ((*it)->canonical_json == canonical_json) {
-      machines_.splice(machines_.begin(), machines_, it);
-      return machines_.front();
+  // A warm hit is found by identity.  A cold resolve, or a warm machine
+  // evicted since the lookup, is found by canonical bytes, so every
+  // spelling of one machine shares one router and one cache namespace.
+  const std::string& canonical = warm ? warm->canonical_json : canonical_json;
+  auto it = machines_.begin();
+  while (it != machines_.end() && *it != warm &&
+         (*it)->canonical_json != canonical)
+    ++it;
+  if (it != machines_.end()) {
+    machines_.splice(machines_.begin(), machines_, it);
+  } else {
+    machines_.push_front(std::make_shared<MachineState>(canonical, pool_));
+    std::uint64_t evicted = 0;
+    while (machines_.size() > options_.machine_capacity) {
+      machines_.pop_back();
+      ++evicted;
     }
-  }
-  auto state = std::make_shared<MachineState>(
-      sim::MachineSpec::from_json(canonical_json), canonical_json, pool_);
-  machines_.push_front(state);
-  std::uint64_t evicted = 0;
-  while (machines_.size() > options_.machine_capacity) {
-    machines_.pop_back();
-    ++evicted;
-  }
-  {
     std::lock_guard<std::mutex> counters(counters_mutex_);
     machines_loaded_.add();
     machines_evicted_.add(evicted);
   }
+  const std::shared_ptr<MachineState>& state = machines_.front();
+  if (state != warm) state->remember(request);
   return state;
 }
 
 std::string Server::handle_query(const Request& request) {
-  const sim::MachineSpec spec =
-      request.machine_name.empty()
-          ? sim::MachineSpec::from_json(request.machine_inline_json)
-          : sim::machine_spec(request.machine_name);
-  const sim::AuditReport report = spec.audit();
-  if (!report.ok())
-    throw std::invalid_argument("machine audit failed:\n" +
-                                report.to_string());
-  const std::string canonical = spec.to_json();
+  // A reference already resolved skips building, auditing and
+  // rendering the spec.  Only audited specs get this far, so an audit
+  // failure still errors on every request.
+  const std::shared_ptr<MachineState> warm = warm_machine(request);
+  std::optional<sim::MachineSpec> cold;
+  std::string cold_canonical;
+  if (!warm) {
+    cold = request.machine_name.empty()
+               ? sim::MachineSpec::from_json(request.machine_inline_json)
+               : sim::machine_spec(request.machine_name);
+    const sim::AuditReport report = cold->audit();
+    if (!report.ok())
+      throw std::invalid_argument("machine audit failed:\n" +
+                                  report.to_string());
+    cold_canonical = cold->to_json();
+  }
+  const sim::MachineSpec& spec = warm ? warm->spec : *cold;
 
   for (std::size_t i = 0; i < request.queries.size(); ++i) {
     const std::string problem = validate_query(request.queries[i], spec);
@@ -166,7 +214,9 @@ std::string Server::handle_query(const Request& request) {
           problem);
   }
 
-  const std::shared_ptr<MachineState> state = machine_state(canonical);
+  const std::shared_ptr<MachineState> state =
+      machine_state(request, warm, cold_canonical);
+  const std::string& canonical = state->canonical_json;
   {
     std::lock_guard<std::mutex> lock(counters_mutex_);
     queries_.add(request.queries.size());

@@ -3,14 +3,21 @@
 // One Server owns the two-tier answering stack for any number of
 // machines at once:
 //
-//   request line ──parse──▶ resolve machine (preset registry or
-//      inline spec, LRU-bounded QueryRouter per distinct canonical
-//      spec, all sharing ONE ThreadPool) ──route──▶
+//   request line ──parse──▶ resolve machine ──route──▶
 //        analytic-servable   → answered inline, O(1), no cache
 //        simulation-required → content-addressed ResultCache
 //             miss  → event-driven simulator (batches fan across a
 //                     shared SweepRunner task graph)
 //             hit   → memoized value, byte-identical to the miss
+//
+// Resolve runs once per warm machine, not once per request.  Each
+// distinct canonical spec gets one LRU-bounded warm machine (its
+// QueryRouter; all share ONE ThreadPool) that remembers the request
+// references that resolved to it: preset names and inline dumps, at
+// most kMaxAliasesPerMachine, evicted with it.  A remembered
+// reference skips building, auditing and rendering the spec; any
+// other takes that full path and then finds its machine by canonical
+// JSON.
 //
 // Answers are bit-identical to calling the Predictor / ubench
 // directly: the cache stores the exact double the simulator produced
@@ -110,9 +117,17 @@ class Server {
  private:
   struct MachineState;
 
-  /// The warm router for `canonical_json`, constructing (and LRU-
-  /// evicting) as needed.
+  /// The warm machine `request`'s reference already resolved to, or
+  /// null.  Leaves the LRU order alone: a query that then fails
+  /// validation must not touch it.
+  std::shared_ptr<MachineState> warm_machine(const Request& request);
+
+  /// Marks the machine most recently used and returns it: `warm` if it
+  /// is still resident, else the machine whose canonical JSON is
+  /// `canonical_json` (or warm's), constructing and LRU-evicting as
+  /// needed.  Records `request`'s reference as an alias.
   std::shared_ptr<MachineState> machine_state(
+      const Request& request, const std::shared_ptr<MachineState>& warm,
       const std::string& canonical_json);
 
   std::string handle_query(const Request& request);

@@ -28,6 +28,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -96,6 +97,23 @@ predict::Query chase_query(std::uint64_t footprint_bytes, int dscr = 2) {
   return q;
 }
 
+/// A one-query request line; `machine` is the JSON of the "machine"
+/// member (a quoted preset name or an inline spec object).
+std::string query_line(const std::string& machine, const std::string& query) {
+  return "{\"verb\": \"query\", \"machine\": " + machine +
+         ", \"query\": " + query + "}";
+}
+
+/// `spec` written inline, compact, as a client would send it.
+std::string inline_machine(const sim::MachineSpec& spec) {
+  return common::json_dump(common::Json::parse(spec.to_json()));
+}
+
+/// An analytic query whose answer depends on the machine's topology.
+constexpr const char* kNocQuery =
+    "{\"kind\": \"noc-latency\", \"consumer_chip\": 1, "
+    "\"home_chip\": 6}";
+
 common::Json parse_response(const std::string& response) {
   return common::Json::parse(response);
 }
@@ -156,6 +174,11 @@ std::uint64_t stat_of(const std::string& stats_response,
   const common::Json* value = stats->find(name);
   EXPECT_NE(value, nullptr) << name << " missing in " << stats_response;
   return value == nullptr ? 0 : static_cast<std::uint64_t>(value->number);
+}
+
+/// Counter `name` of a transport-free server, read via the stats verb.
+std::uint64_t server_stat(serve::Server& server, const std::string& name) {
+  return stat_of(server.handle_line("{\"verb\": \"stats\"}"), name);
 }
 
 /// Raw byte-level socket access, for frames the Client helper cannot
@@ -727,6 +750,107 @@ TEST(ServeServerTest, PerturbedCacheBreaksByteIdentity) {
   EXPECT_EQ(cached, fresh + 0.5);  // identity broken, by exactly the skew
 }
 
+TEST(ServeServerTest, InvalidQueryOnAColdMachineLoadsNothing) {
+  serve::ServerOptions options = daemon_options();
+  options.machine_capacity = 1;
+  serve::Server server(options);
+  ASSERT_TRUE(response_ok(server.handle_line(query_line("\"e870\"",
+                                                        kNocQuery))));
+  // consumer_chip 99 is out of range on e880's 16 chips.  Validation
+  // runs before e880 is created, so e870 stays the one warm machine.
+  const std::string bad_e880 = query_line(
+      "\"e880\"", "{\"kind\": \"chase-latency\", \"consumer_chip\": 99}");
+  for (int repeat = 0; repeat < 3; ++repeat)
+    check_error_schema(server.handle_line(bad_e880));
+  EXPECT_EQ(server_stat(server, "serve.machines_loaded"), 1u);
+  EXPECT_EQ(server_stat(server, "serve.machines_evicted"), 0u);
+
+  // The same mistake on the warm machine errors with the bytes a cold
+  // server gives it.
+  const std::string bad_e870 = query_line(
+      "\"e870\"", "{\"kind\": \"chase-latency\", \"consumer_chip\": 99}");
+  serve::Server cold(daemon_options());
+  EXPECT_EQ(server.handle_line(bad_e870), cold.handle_line(bad_e870));
+  EXPECT_EQ(server_stat(cold, "serve.machines_loaded"), 0u);
+
+  ASSERT_TRUE(response_ok(server.handle_line(query_line("\"e870\"",
+                                                        kNocQuery))));
+  EXPECT_EQ(server_stat(server, "serve.machines_loaded"), 1u);
+  EXPECT_EQ(server_stat(server, "serve.machines_evicted"), 0u);
+}
+
+TEST(ServeServerTest, InlineSpecFailingAuditErrorsOnEveryRepeat) {
+  sim::MachineSpec broken = sim::machine_spec("e870");
+  broken.mem.read_link_eff = 1.5;
+  ASSERT_FALSE(broken.audit().ok());
+  serve::Server server(daemon_options());
+  const std::string line = query_line(inline_machine(broken), kNocQuery);
+  const std::string first = server.handle_line(line);
+  check_error_schema(first);
+  EXPECT_NE(first.find("machine audit failed"), std::string::npos) << first;
+  for (int repeat = 0; repeat < 4; ++repeat)
+    EXPECT_EQ(server.handle_line(line), first);
+  EXPECT_EQ(server_stat(server, "serve.machines_loaded"), 0u);
+  EXPECT_EQ(server_stat(server, "serve.errors"), 5u);
+}
+
+TEST(ServeServerTest, AliasesDieWithTheirMachine) {
+  serve::ServerOptions options = daemon_options();
+  options.machine_capacity = 1;
+  serve::Server server(options);
+  const std::vector<std::string> lines = {
+      query_line("\"e870\"", kNocQuery),
+      query_line("\"e880\"", kNocQuery),
+      query_line(inline_machine(sim::machine_spec("e870")), kNocQuery)};
+  std::vector<std::string> fresh;
+  for (const std::string& line : lines)
+    fresh.push_back(serve::Server(daemon_options()).handle_line(line));
+  ASSERT_TRUE(response_ok(fresh[0])) << fresh[0];
+  EXPECT_NE(fresh[0], fresh[1]);  // the two machines answer differently
+  EXPECT_EQ(fresh[0], fresh[2]);  // two spellings of one machine agree
+
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round)
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      EXPECT_EQ(server.handle_line(lines[i]), fresh[i])
+          << "round " << round << ", line " << i;
+  // With room for one machine every switch reloads, except e870 by
+  // name right after e870 inline: the resident router is found by its
+  // canonical JSON.  An alias that outlived its evicted machine would
+  // skip a reload and show here.
+  EXPECT_EQ(server_stat(server, "serve.machines_loaded"), 2u * kRounds + 1);
+  EXPECT_EQ(server_stat(server, "serve.machines_evicted"), 2u * kRounds);
+}
+
+TEST(ServeServerTest, ManySpellingsOfOneMachineShareOneRouter) {
+  // Permuting the top-level members gives distinct inline dumps of one
+  // machine, more of them than a machine keeps aliases for.
+  common::Json doc = common::Json::parse(sim::machine_spec("e870").to_json());
+  ASSERT_GE(doc.object.size(), 4u);
+  const auto by_key = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(doc.object.begin(), doc.object.end(), by_key);
+  std::vector<std::string> spellings;
+  do {
+    spellings.push_back(common::json_dump(doc));
+  } while (spellings.size() < 12 &&
+           std::next_permutation(doc.object.begin(), doc.object.end(),
+                                 by_key));
+  ASSERT_EQ(spellings.size(), 12u);
+
+  serve::Server server(daemon_options());
+  const std::string expected =
+      server.handle_line(query_line("\"e870\"", kNocQuery));
+  ASSERT_TRUE(response_ok(expected)) << expected;
+  for (int round = 0; round < 2; ++round)
+    for (const std::string& spelling : spellings)
+      EXPECT_EQ(server.handle_line(query_line(spelling, kNocQuery)),
+                expected);
+  EXPECT_EQ(server.handle_line(query_line("\"e870\"", kNocQuery)), expected);
+  EXPECT_EQ(server_stat(server, "serve.machines_loaded"), 1u);
+}
+
 // ---- daemon over the socket -----------------------------------------------
 
 TEST(ServeDaemonTest, EndToEndQueryStatsShutdownCycle) {
@@ -1036,6 +1160,35 @@ TEST(ServeConcurrentTest, MixedVerbBurstLeavesTheDaemonHealthy) {
   EXPECT_EQ(stat_of(stats, "serve.requests"), 61u);  // 60 + this stats
   // (c + i) % 4 == 3 has 14 solutions over c in [0,6) x i in [0,10).
   EXPECT_EQ(stat_of(stats, "serve.errors"), 14u);
+}
+
+TEST(ServeConcurrentTest, RacingFirstResolvesLoadOneMachine) {
+  // Four clients race the first resolve of one machine, half by name
+  // and half inline: however they interleave, one router is built and
+  // every answer is the same bytes.
+  const std::string by_name = query_line("\"e870\"", kNocQuery);
+  const std::string by_inline =
+      query_line(inline_machine(sim::machine_spec("e870")), kNocQuery);
+  for (int trial = 0; trial < 8; ++trial) {
+    serve::Server server(daemon_options());
+    constexpr int kClients = 4;
+    std::atomic<int> arrived{0};
+    std::vector<std::string> responses(kClients);
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c)
+      threads.emplace_back([&, c] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kClients) std::this_thread::yield();
+        responses[static_cast<std::size_t>(c)] =
+            server.handle_line(c % 2 == 0 ? by_name : by_inline);
+      });
+    for (auto& t : threads) t.join();
+    ASSERT_TRUE(response_ok(responses[0])) << responses[0];
+    for (const std::string& response : responses)
+      EXPECT_EQ(response, responses[0]) << "trial " << trial;
+    EXPECT_EQ(server_stat(server, "serve.machines_loaded"), 1u)
+        << "trial " << trial;
+  }
 }
 
 }  // namespace
