@@ -15,10 +15,11 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  bench::print_header("Validation",
-                      "event-driven simulation vs analytic model vs paper");
+  bench::Harness h(argc, argv);
+  if (auto exit_code =
+          h.start("Validation",
+                  "event-driven simulation vs analytic model vs paper"))
+    return *exit_code;
 
   const auto cfg = sim::TrafficConfig::from_spec(arch::e870());
   const sim::MemoryBandwidthModel analytic(arch::e870());

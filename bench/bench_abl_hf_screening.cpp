@@ -5,22 +5,20 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "hf/scf.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const int carbons = static_cast<int>(args.get_int("carbons", 6, ""));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  const auto carbons = static_cast<int>(
+      h.integer("carbons", 6, 1, 256, "alkane chain length"));
+  const std::size_t threads = h.threads();
+  if (auto exit_code = h.start("Ablation", "Schwarz screening tolerance sweep"))
+    return *exit_code;
 
-  bench::print_header("Ablation", "Schwarz screening tolerance sweep");
-
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(threads);
   hf::ScfSolver solver(hf::alkane(carbons), pool);
 
   // Tightest run is the reference energy.

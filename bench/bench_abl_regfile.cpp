@@ -9,10 +9,11 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  bench::print_header("Ablation",
-                      "128-register VSX file vs unlimited (Fig. 5, 12 FMAs)");
+  bench::Harness h(argc, argv);
+  if (auto exit_code =
+          h.start("Ablation",
+                  "128-register VSX file vs unlimited (Fig. 5, 12 FMAs)"))
+    return *exit_code;
 
   const sim::CoreSim limited{sim::CoreSimConfig{}};
   sim::CoreSimConfig unlimited_cfg;

@@ -12,10 +12,10 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  bench::print_header("Ablation",
-                      "single-route vs multipath inter-group routing");
+  bench::Harness h(argc, argv);
+  if (auto exit_code = h.start("Ablation",
+                               "single-route vs multipath inter-group routing"))
+    return *exit_code;
 
   const arch::Topology topo = arch::Topology::from_spec(arch::e870());
   sim::NocParams single_params;

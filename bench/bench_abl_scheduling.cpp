@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "common/timer.hpp"
@@ -16,19 +15,21 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const int scale = static_cast<int>(args.get_int("scale", 13, ""));
-  const int workers = static_cast<int>(args.get_int("workers", 8, ""));
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-
-  bench::print_header(
-      "Ablation", "static vs dynamic scheduling of the Jaccard SpGEMM");
+  bench::Harness h(argc, argv);
+  const auto scale =
+      static_cast<int>(h.integer("scale", 13, 1, 30, "R-MAT scale"));
+  const auto workers = static_cast<std::size_t>(
+      h.integer("workers", 8, 1, 4096, "thread-pool workers"));
+  if (auto exit_code =
+          h.start("Ablation",
+                  "static vs dynamic scheduling of the Jaccard SpGEMM"))
+    return *exit_code;
 
   graph::RmatOptions opt;
   opt.scale = scale;
   opt.edge_factor = 16;
   const graph::Graph g = graph::rmat_graph(opt);
-  common::ThreadPool pool(static_cast<std::size_t>(workers));
+  common::ThreadPool pool(workers);
 
   common::TextTable t({"Schedule", "chunk", "pairs evaluated",
                        "largest task vs even share", "time (s)"});

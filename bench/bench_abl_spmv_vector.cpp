@@ -6,24 +6,19 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  if (auto exit_code =
+          h.start("Ablation",
+                  "SpMV input vector: replicated per socket vs distributed"))
+    return *exit_code;
 
-  bench::print_header(
-      "Ablation", "SpMV input vector: replicated per socket vs distributed");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  const sim::Machine& machine = h.machine();
   const auto& noc = machine.noc();
   const auto& mem = machine.memory();
 

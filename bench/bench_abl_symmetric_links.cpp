@@ -11,10 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  bench::print_header(
-      "Ablation", "asymmetric (2 read + 1 write) vs symmetric Centaur links");
+  bench::Harness h(argc, argv);
+  if (auto exit_code =
+          h.start("Ablation",
+                  "asymmetric (2 read + 1 write) vs symmetric Centaur links"))
+    return *exit_code;
 
   const arch::SystemSpec real = arch::e870();
   arch::SystemSpec symmetric = real;

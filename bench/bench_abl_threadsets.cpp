@@ -9,10 +9,11 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  bench::print_header("Ablation",
-                      "thread-set split vs shared issue (odd SMT dips)");
+  bench::Harness h(argc, argv);
+  if (auto exit_code =
+          h.start("Ablation",
+                  "thread-set split vs shared issue (odd SMT dips)"))
+    return *exit_code;
 
   const sim::CoreSim split{sim::CoreSimConfig{}};
   sim::CoreSimConfig shared_cfg;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "sim/machine/machine.hpp"
@@ -14,18 +13,13 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  if (auto exit_code =
+          h.start("Ablation", "NUCA victim L3 on/off (Fig. 2 mid-range shelf)"))
+    return *exit_code;
 
-  bench::print_header("Ablation",
-                      "NUCA victim L3 on/off (Fig. 2 mid-range shelf)");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  const sim::Machine& machine = h.machine();
 
   auto probe_at = [&](std::uint64_t ws, bool victim) {
     sim::ProbeOptions opts;
@@ -47,8 +41,7 @@ int main(int argc, char** argv) {
                                            common::mib(96)};
   // Sweep grid: (working set) x (victim on, off), fanned over a pool.
   sim::SweepRunner runner;
-  runner.gate_on_audit(machine.audit());
-  if (no_audit) runner.waive_audit();
+  h.arm(runner);
   const auto lat = runner.run(2 * sets.size(), [&](std::size_t i) {
     return probe_at(sets[i / 2], i % 2 == 0);
   });

@@ -14,10 +14,11 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  bench::print_header(
-      "Ablation", "STREAM kernels through the cache model: link-level R:W");
+  bench::Harness h(argc, argv);
+  if (auto exit_code =
+          h.start("Ablation",
+                  "STREAM kernels through the cache model: link-level R:W"))
+    return *exit_code;
 
   const sim::MemoryBandwidthModel bw(arch::e870());
 

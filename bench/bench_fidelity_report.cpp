@@ -30,7 +30,6 @@
 
 #include "arch/spec.hpp"
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "roofline/roofline.hpp"
 #include "sim/machine/machine.hpp"
@@ -69,30 +68,31 @@ std::string json_num(double v) {
 int main(int argc, char** argv) {
   using namespace p8;
 
-  common::ArgParser args(argc, argv);
-  const bool gate = args.get_flag("gate", "enforce per-check tolerances; "
-                                          "exit non-zero on any FAIL");
+  bench::Harness h(argc, argv);
+  const bool gate = h.flag("gate", "enforce per-check tolerances; "
+                                   "exit non-zero on any FAIL");
   const std::string json_path =
-      args.get_string("json", "", "write machine-readable results here");
-  const double perturb = args.get_double(
-      "perturb", 1.0, "scale read_link_eff (gate self-test hook)");
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string counters_path = bench::counters_path_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+      h.text("json", "", "write machine-readable results here");
+  const double perturb =
+      h.number("perturb", 1.0, "scale read_link_eff (gate self-test hook)");
+  sim::CounterRegistry* const dump = h.counters("fidelity");
 
-  bench::print_header("Fidelity report",
-                      "all modelled paper quantities in one table");
-
+  // The gate checks the paper's measured E870, so the machine is pinned
+  // by the data itself rather than picked with --machine.
   sim::MemBandwidthParams mem_params;
   mem_params.read_link_eff *= perturb;
   const sim::Machine machine(arch::e870(), mem_params);
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  h.gate(machine);
+  if (auto exit_code = h.start("Fidelity report",
+                               "all modelled paper quantities in one table"))
+    return *exit_code;
 
   // Local copies of the analytic models so the counter sink can be
   // attached; they solve identically to machine.memory()/noc().
-  sim::CounterRegistry counters;
-  sim::CounterRegistry* reg =
-      (!counters_path.empty() || gate) ? &counters : nullptr;
+  // --gate solves with a sink attached even when nothing is dumped.
+  sim::CounterRegistry gate_counters;
+  sim::CounterRegistry* reg = dump;
+  if (reg == nullptr && gate) reg = &gate_counters;
   sim::MemoryBandwidthModel mem = machine.memory();
   sim::NocModel noc = machine.noc();
   sim::CoreSim core = machine.core_sim();
@@ -245,13 +245,7 @@ int main(int argc, char** argv) {
               gate_status(c) + "\"}";
     }
     body += "\n  ]\n}\n";
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-    std::fputs(body.c_str(), f);
-    std::fclose(f);
+    if (!bench::write_file(json_path, body)) return 1;
   }
 
   int failures = 0;
@@ -294,6 +288,5 @@ int main(int argc, char** argv) {
     std::printf("gate: %d check(s) failed.\n", failures);
   }
 
-  if (!bench::write_counters(counters, counters_path, "fidelity")) return 1;
-  return failures == 0 ? 0 : 1;
+  return h.finish(failures == 0 ? 0 : 1);
 }

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "common/timer.hpp"
@@ -17,18 +16,17 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const int min_scale = static_cast<int>(args.get_int("min-scale", 12, ""));
-  const int max_scale = static_cast<int>(args.get_int("max-scale", 16, ""));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()),
-      "worker threads (paper: one per core)"));
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  const auto min_scale = static_cast<int>(
+      h.integer("min-scale", 12, 1, 30, "smallest R-MAT scale"));
+  const auto max_scale = static_cast<int>(
+      h.integer("max-scale", 16, 1, 30, "largest R-MAT scale"));
+  const std::size_t threads = h.threads();
+  if (auto exit_code = h.start("Figure 10",
+                               "all-pairs Jaccard similarity on R-MAT graphs"))
+    return *exit_code;
 
-  bench::print_header("Figure 10",
-                      "all-pairs Jaccard similarity on R-MAT graphs");
-
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(threads);
   common::TextTable t({"Scale", "Vertices", "Edges", "Input", "Output pairs",
                        "Output size", "Out/In", "Time (s)"});
   for (int scale = min_scale; scale <= max_scale; ++scale) {

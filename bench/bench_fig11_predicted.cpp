@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "graph/matrices.hpp"
 #include "graph/rmat.hpp"
@@ -14,24 +13,20 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
+  bench::Harness h(argc, argv);
   const double size_factor =
-      args.get_double("size-factor", 1.0, "matrix dimension scale");
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+      h.number("size-factor", 1.0, "matrix dimension scale");
+  h.select_machine();
+  if (auto exit_code = h.start("Figure 11 (model-predicted)",
+                               "E870 CSR SpMV prediction per suite matrix"))
+    return *exit_code;
 
-  bench::print_header("Figure 11 (model-predicted)",
-                      "E870 CSR SpMV prediction per suite matrix");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
+  const sim::Machine& machine = h.machine();
   const auto suite = graph::figure11_suite(size_factor);
 
   // Each suite matrix is one independent cache-replay sweep point.
   sim::SweepRunner runner;
-  if (!bench::gate_model(machine, runner, no_audit)) return 2;
+  h.arm(runner);
   const auto predictions = runner.run(suite.size(), [&](std::size_t i) {
     return predict::predict_csr_spmv(suite[i].matrix, machine);
   });

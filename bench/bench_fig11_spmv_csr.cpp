@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "common/timer.hpp"
@@ -13,18 +12,18 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
+  bench::Harness h(argc, argv);
   const double size_factor =
-      args.get_double("size-factor", 1.0, "matrix dimension scale");
-  const int reps = static_cast<int>(args.get_int("reps", 5, ""));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+      h.number("size-factor", 1.0, "matrix dimension scale");
+  const auto reps = static_cast<int>(
+      h.integer("reps", 5, 1, 1000, "timed SpMV repetitions per matrix"));
+  const std::size_t threads = h.threads();
+  if (auto exit_code =
+          h.start("Figure 11",
+                  "CSR SpMV on the UF-style suite (synthetic stand-ins)"))
+    return *exit_code;
 
-  bench::print_header("Figure 11",
-                      "CSR SpMV on the UF-style suite (synthetic stand-ins)");
-
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(threads);
   const auto suite = graph::figure11_suite(size_factor);
 
   common::TextTable t({"Matrix", "Rows", "nnz", "nnz/row", "GFLOP/s",

@@ -10,25 +10,19 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "predict/spmv_predict.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  if (auto exit_code = h.start(
+          "Figure 12 (model-predicted)",
+          "E870 graph SpMV: CSR vs two-phase tiled, R-MAT scales 20-31"))
+    return *exit_code;
 
-  bench::print_header(
-      "Figure 12 (model-predicted)",
-      "E870 graph SpMV: CSR vs two-phase tiled, R-MAT scales 20-31");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  const sim::Machine& machine = h.machine();
 
   common::TextTable t({"Scale", "nnz", "CSR x-hit", "CSR GFLOP/s",
                        "tile nnz", "tile stream eff", "Tiled GFLOP/s",

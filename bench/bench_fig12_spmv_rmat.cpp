@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "common/timer.hpp"
@@ -18,17 +17,19 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const int min_scale = static_cast<int>(args.get_int("min-scale", 12, ""));
-  const int max_scale = static_cast<int>(args.get_int("max-scale", 18, ""));
-  const int reps = static_cast<int>(args.get_int("reps", 3, ""));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  const auto min_scale = static_cast<int>(
+      h.integer("min-scale", 12, 1, 30, "smallest R-MAT scale"));
+  const auto max_scale = static_cast<int>(
+      h.integer("max-scale", 18, 1, 30, "largest R-MAT scale"));
+  const auto reps = static_cast<int>(
+      h.integer("reps", 3, 1, 1000, "timed SpMV repetitions per scale"));
+  const std::size_t threads = h.threads();
+  if (auto exit_code = h.start("Figure 12",
+                               "graph SpMV on R-MAT adjacency matrices"))
+    return *exit_code;
 
-  bench::print_header("Figure 12", "graph SpMV on R-MAT adjacency matrices");
-
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(threads);
   common::TextTable t({"Scale", "nnz", "Tiled GFLOP/s", "CSR GFLOP/s",
                        "Tiled/CSR", "mean tile nnz"});
   for (int scale = min_scale; scale <= max_scale; ++scale) {

@@ -11,15 +11,14 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_spec();
+  if (auto exit_code = h.start("Figure 1",
+                               "high-level block diagram of the E870"))
+    return *exit_code;
 
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const arch::SystemSpec& spec = machine_spec->system;
+  const arch::SystemSpec& spec = h.spec().system;
 
-  bench::print_header("Figure 1", "high-level block diagram of the E870");
   if (!(spec == arch::e870())) std::printf("Machine: %s\n\n", spec.name.c_str());
 
   const arch::Topology topo = arch::Topology::from_spec(spec);

@@ -11,27 +11,23 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "ubench/workloads.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::uint64_t max_mb = static_cast<std::uint64_t>(
-      args.get_int("max-mb", 512, "largest working set in MiB"));
-  const std::string counters_path = bench::counters_path_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  const auto max_mb = static_cast<std::uint64_t>(
+      h.integer("max-mb", 512, 1, 1 << 20, "largest working set in MiB"));
+  h.select_machine();
+  sim::CounterRegistry* const reg = h.counters("fig2");
+  if (auto exit_code =
+          h.start("Figure 2",
+                  "memory read latency vs working set (prefetch off)"))
+    return *exit_code;
 
-  bench::print_header("Figure 2",
-                      "memory read latency vs working set (prefetch off)");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
+  const sim::Machine& machine = h.machine();
 
   std::vector<std::uint64_t> sizes;
   for (std::uint64_t ws = common::kib(16); ws <= common::mib(max_mb);) {
@@ -43,10 +39,8 @@ int main(int argc, char** argv) {
 
   // Both page-size scans fan out over one pool; results come back in
   // working-set order, bit-identical to the sequential loop.
-  sim::CounterRegistry counters;
-  sim::CounterRegistry* reg = counters_path.empty() ? nullptr : &counters;
   sim::SweepRunner runner;
-  if (!bench::gate_model(machine, runner, no_audit)) return 2;
+  h.arm(runner);
   const auto regular = ubench::memory_latency_scan(machine, sizes, 64 * 1024,
                                                    /*dscr=*/1, runner, reg);
   const auto huge = ubench::memory_latency_scan(machine, sizes, 16ull << 20,
@@ -68,5 +62,5 @@ int main(int argc, char** argv) {
       "64MB, L4 shoulder to 128MB, DRAM beyond.  The 64KB-page column\n"
       "should exceed the 16MB-page column around 3-6MB (ERAT reach = 48 x\n"
       "64KB = 3MB) — the paper's 'small spike at the 3MB data point'.\n");
-  return bench::write_counters(counters, counters_path, "fig2") ? 0 : 1;
+  return h.finish(0);
 }

@@ -4,30 +4,25 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string counters_path = bench::counters_path_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  sim::CounterRegistry* const counters = h.counters("fig3");
+  if (auto exit_code =
+          h.start("Figure 3a",
+                  "single-core bandwidth vs threads per core (2:1 mix)"))
+    return *exit_code;
 
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  const sim::Machine& machine = h.machine();
   const sim::RwMix mix{2, 1};
   // Counter-attachable copy; solves identically to machine.memory().
-  sim::CounterRegistry counters;
   sim::MemoryBandwidthModel mem = machine.memory();
-  if (!counters_path.empty()) mem.attach_counters(&counters);
+  if (counters != nullptr) mem.attach_counters(counters);
 
-  bench::print_header("Figure 3a",
-                      "single-core bandwidth vs threads per core (2:1 mix)");
   common::TextTable a({"Threads/core", "Bandwidth (GB/s)"});
   for (int t = 1; t <= 8; ++t)
     a.add_row({std::to_string(t),
@@ -49,5 +44,5 @@ int main(int argc, char** argv) {
   std::printf("Paper: the chip maximum of ~189 GB/s needs all cores AND all "
               "threads.\nModel maximum: %.0f GB/s.\n",
               mem.stream_gbs(1, 8, 8, mix));
-  return bench::write_counters(counters, counters_path, "fig3") ? 0 : 1;
+  return h.finish(0);
 }

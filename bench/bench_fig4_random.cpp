@@ -4,29 +4,23 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string counters_path = bench::counters_path_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  sim::CounterRegistry* const counters = h.counters("fig4");
+  if (auto exit_code =
+          h.start("Figure 4",
+                  "random-access bandwidth vs SMT x lists/thread (64 cores)"))
+    return *exit_code;
 
-  bench::print_header(
-      "Figure 4", "random-access bandwidth vs SMT x lists/thread (64 cores)");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  const sim::Machine& machine = h.machine();
   // Counter-attachable copy; solves identically to machine.memory().
-  sim::CounterRegistry counters;
   sim::MemoryBandwidthModel mem = machine.memory();
-  if (!counters_path.empty()) mem.attach_counters(&counters);
+  if (counters != nullptr) mem.attach_counters(counters);
 
   common::TextTable t({"Lists/thread", "SMT1", "SMT2", "SMT4", "SMT8"});
   double best = 0.0;
@@ -48,5 +42,5 @@ int main(int argc, char** argv) {
       "outstanding lines per thread; SMT8 saturates with only 4 lists while\n"
       "SMT4 needs ~16 — the paper's argument for 8-way SMT.\n",
       best, 100.0 * best / read_peak, read_peak);
-  return bench::write_counters(counters, counters_path, "fig4") ? 0 : 1;
+  return h.finish(0);
 }

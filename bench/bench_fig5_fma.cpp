@@ -4,24 +4,18 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  if (auto exit_code = h.start("Figure 5",
+                               "FMA %% of peak vs loop FMAs x threads/core"))
+    return *exit_code;
 
-  bench::print_header("Figure 5",
-                      "FMA %% of peak vs loop FMAs x threads/core");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  const sim::Machine& machine = h.machine();
   const sim::CoreSim sim = machine.core_sim();
 
   common::TextTable t({"FMAs in loop", "SMT1", "SMT2", "SMT3", "SMT4",

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 #include "sim/machine/sweep.hpp"
@@ -12,27 +11,21 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string counters_path = bench::counters_path_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  sim::CounterRegistry* const reg = h.counters("fig6");
+  if (auto exit_code = h.start("Figure 6",
+                               "latency and bandwidth vs DSCR prefetch depth"))
+    return *exit_code;
 
-  bench::print_header("Figure 6",
-                      "latency and bandwidth vs DSCR prefetch depth");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
+  const sim::Machine& machine = h.machine();
 
   // One sweep point per DSCR depth: a unit-stride sequential chase
   // over fresh memory with the prefetcher at that depth.  Each depth
   // records under its own prefetch.dscr<k>.* namespace, so the merged
   // registry keeps the depths apart.
-  sim::CounterRegistry counters;
-  sim::CounterRegistry* reg = counters_path.empty() ? nullptr : &counters;
   sim::SweepRunner runner;
-  if (!bench::gate_model(machine, runner, no_audit)) return 2;
+  h.arm(runner);
   const auto lats =
       runner.run_counted(7, reg, [&](std::size_t i, sim::CounterRegistry* r) {
         ubench::StrideOptions opt;
@@ -62,5 +55,5 @@ int main(int argc, char** argv) {
   std::printf("Paper: both metrics are best at the deepest setting for a\n"
               "sequential pattern — latency falls as ~DRAM/(depth+1), and\n"
               "bandwidth rises with the per-thread line concurrency.\n");
-  return bench::write_counters(counters, counters_path, "fig6") ? 0 : 1;
+  return h.finish(0);
 }

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 #include "sim/machine/sweep.hpp"
@@ -12,24 +11,19 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string counters_path = bench::counters_path_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  sim::CounterRegistry* const reg = h.counters("fig7");
+  if (auto exit_code =
+          h.start("Figure 7",
+                  "stride-256 stream latency: stride-N detection on vs off"))
+    return *exit_code;
 
-  bench::print_header(
-      "Figure 7", "stride-256 stream latency: stride-N detection on vs off");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
+  const sim::Machine& machine = h.machine();
 
   // Sweep grid: (dscr 2..7) x (stride-N off, on), fanned over a pool.
-  sim::CounterRegistry counters;
-  sim::CounterRegistry* reg = counters_path.empty() ? nullptr : &counters;
   sim::SweepRunner runner;
-  if (!bench::gate_model(machine, runner, no_audit)) return 2;
+  h.arm(runner);
   const auto lat =
       runner.run_counted(12, reg, [&](std::size_t i, sim::CounterRegistry* r) {
         ubench::StrideOptions opt;
@@ -55,5 +49,5 @@ int main(int argc, char** argv) {
       "the deepest setting.  The conclusion — the detector removes most\n"
       "of the memory latency — reproduces.\n",
       machine.noc().memory_latency_ns(0, 0) + 0.7, lat[11]);
-  return bench::write_counters(counters, counters_path, "fig7") ? 0 : 1;
+  return h.finish(0);
 }

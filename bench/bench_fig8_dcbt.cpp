@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 #include "sim/machine/sweep.hpp"
@@ -13,27 +12,22 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string counters_path = bench::counters_path_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  sim::CounterRegistry* const reg = h.counters("fig8");
+  if (auto exit_code =
+          h.start("Figure 8",
+                  "random-block scan bandwidth with and without DCBT"))
+    return *exit_code;
 
-  bench::print_header("Figure 8",
-                      "random-block scan bandwidth with and without DCBT");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
+  const sim::Machine& machine = h.machine();
 
   const std::uint64_t sizes[] = {512,  1024,  2048,  4096,
                                  8192, 16384, 32768, 65536};
   // Normalize to the best large-block figure, as the paper plots
   // percent of peak.  Sweep grid: (block size) x (plain, DCBT-hinted).
-  sim::CounterRegistry counters;
-  sim::CounterRegistry* reg = counters_path.empty() ? nullptr : &counters;
   sim::SweepRunner runner;
-  if (!bench::gate_model(machine, runner, no_audit)) return 2;
+  h.arm(runner);
   const auto bw = runner.run_counted(
       2 * std::size(sizes), reg, [&](std::size_t i, sim::CounterRegistry* r) {
         ubench::DcbtOptions opt;
@@ -64,5 +58,5 @@ int main(int argc, char** argv) {
   std::printf("Paper: DCBT gains exceed 25%% for small arrays (the hardware\n"
               "detector engages too late) and become negligible for large\n"
               "ones.\n");
-  return bench::write_counters(counters, counters_path, "fig8") ? 0 : 1;
+  return h.finish(0);
 }

@@ -11,17 +11,13 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_spec();
+  if (auto exit_code = h.start("Figure 9 (energy companion)",
+                               "energy roofline of the E870 (paper ref. [9])"))
+    return *exit_code;
 
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-
-  bench::print_header("Figure 9 (energy companion)",
-                      "energy roofline of the E870 (paper ref. [9])");
-
-  const auto perf = roofline::RooflineModel::from_spec(machine_spec->system);
+  const auto perf = roofline::RooflineModel::from_spec(h.spec().system);
   const roofline::EnergyRoofline energy(perf);
 
   std::printf(

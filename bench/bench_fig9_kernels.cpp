@@ -8,7 +8,6 @@
 
 #include "arch/spec.hpp"
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "common/timer.hpp"
@@ -21,15 +20,14 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  const std::size_t threads = h.threads();
+  if (auto exit_code =
+          h.start("Figure 9 (measured kernels)",
+                  "native kernel runs placed on the E870 roofline"))
+    return *exit_code;
 
-  bench::print_header("Figure 9 (measured kernels)",
-                      "native kernel runs placed on the E870 roofline");
-
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(threads);
   const auto roofline = roofline::RooflineModel::from_spec(arch::e870());
 
   common::TextTable t({"Kernel", "measured OI", "host GFLOP/s",

@@ -10,16 +10,13 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_spec();
+  if (auto exit_code = h.start("Figure 9",
+                               "roofline for the IBM Power System E870"))
+    return *exit_code;
 
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-
-  bench::print_header("Figure 9", "roofline for the IBM Power System E870");
-
-  const auto model = roofline::RooflineModel::from_spec(machine_spec->system);
+  const auto model = roofline::RooflineModel::from_spec(h.spec().system);
 
   std::printf("Compute roof: %.0f GFLOP/s   Memory roof (2:1): %.0f GB/s\n"
               "Write-only roof: %.0f GB/s   Balance point: %.2f FLOP/byte "

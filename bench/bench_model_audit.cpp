@@ -12,19 +12,17 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "sim/audit.hpp"
 #include "sim/machine/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const bool perturb = args.get_flag(
+  bench::Harness h(argc, argv);
+  const bool perturb = h.flag(
       "perturb", "audit a deliberately broken config (gate self-test hook)");
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-
-  bench::print_header("Model audit",
-                      "static analysis of the machine configuration");
+  if (auto exit_code = h.start("Model audit",
+                               "static analysis of the machine configuration"))
+    return *exit_code;
 
   arch::SystemSpec spec = arch::e870();
   sim::MemBandwidthParams mem_params;

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/taskgraph.hpp"
 #include "common/threading.hpp"
@@ -181,18 +180,17 @@ double predict_queries_per_s(const predict::Predictor& predictor) {
 
 /// Fig. 2 sweep through a SweepRunner with `workers` workers; returns
 /// the wall-clock and appends a bit-identity verdict against `ref`.
-double timed_sweep(const sim::Machine& machine,
-                   const std::vector<std::uint64_t>& sizes, bool no_audit,
+double timed_sweep(const bench::Harness& h,
+                   const std::vector<std::uint64_t>& sizes,
                    std::size_t workers,
                    const std::vector<ubench::LatencyPoint>& ref,
                    bool& identical) {
   sim::SweepRunner runner(workers);
-  runner.gate_on_audit(machine.audit());
-  if (no_audit) runner.waive_audit();
+  h.arm(runner);
   common::Timer timer;
   const auto out =
-      ubench::memory_latency_scan(machine, sizes, 16ull << 20, /*dscr=*/1,
-                                  runner);
+      ubench::memory_latency_scan(h.machine(), sizes, 16ull << 20,
+                                  /*dscr=*/1, runner);
   const double s = timer.seconds();
   bool same = out.size() == ref.size();
   for (std::size_t i = 0; same && i < ref.size(); ++i)
@@ -301,39 +299,26 @@ HeteroOutcome run_hetero_graph(std::size_t workers, std::uint64_t accesses) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  common::ArgParser args(argc, argv);
-  const auto max_mb_opt = bench::bounded_int_arg(
-      args, "max-mb", 512, 1, 1 << 20, "largest Fig. 2 working set in MiB");
-  const auto accesses_opt = bench::bounded_int_arg(
-      args, "accesses", 4 << 20, 1, std::int64_t{1} << 40,
-      "hot-path accesses per pattern");
-  const std::optional<std::size_t> threads_opt = bench::threads_arg(args);
-  const auto reps_opt = bench::bounded_int_arg(
-      args, "reps", 5, 1, 1000, "hot-path timing repetitions (best-of-N)");
-  const auto hetero_opt = bench::bounded_int_arg(
-      args, "hetero-accesses", 1 << 17, 1, std::int64_t{1} << 40,
-      "measured accesses per task of the heterogeneous preset graph");
-  const std::string json_path = args.get_string(
-      "json", "BENCH_perf_simcore.json", "machine-readable output file");
-  const std::string task_json = bench::task_json_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  if (!max_mb_opt || !accesses_opt || !reps_opt || !hetero_opt ||
-      !threads_opt)
-    return 2;
-  const auto max_mb = static_cast<std::uint64_t>(*max_mb_opt);
-  const auto accesses = static_cast<std::uint64_t>(*accesses_opt);
-  const int reps = static_cast<int>(*reps_opt);
-  const auto hetero_accesses = static_cast<std::uint64_t>(*hetero_opt);
-  const std::size_t threads = *threads_opt;
-
-  bench::print_header("Perf", "simulator hot-path and sweep-engine timing");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  bench::Harness h(argc, argv);
+  const auto max_mb = static_cast<std::uint64_t>(h.integer(
+      "max-mb", 512, 1, 1 << 20, "largest Fig. 2 working set in MiB"));
+  const auto accesses = static_cast<std::uint64_t>(
+      h.integer("accesses", 4 << 20, 1, std::int64_t{1} << 40,
+                "hot-path accesses per pattern"));
+  const std::size_t threads = h.threads();
+  const auto reps = static_cast<int>(h.integer(
+      "reps", 5, 1, 1000, "hot-path timing repetitions (best-of-N)"));
+  const auto hetero_accesses = static_cast<std::uint64_t>(h.integer(
+      "hetero-accesses", 1 << 17, 1, std::int64_t{1} << 40,
+      "measured accesses per task of the heterogeneous preset graph"));
+  const std::string json_path = h.text("json", "BENCH_perf_simcore.json",
+                                       "machine-readable output file");
+  const std::string task_json = h.task_json();
+  h.select_machine();
+  if (auto exit_code =
+          h.start("Perf", "simulator hot-path and sweep-engine timing"))
+    return *exit_code;
+  const sim::Machine& machine = h.machine();
 
   const HotPathResult seq = seq_scan(machine, accesses, reps);
   const HotPathResult cha = chase(machine, accesses, reps);
@@ -345,8 +330,7 @@ int main(int argc, char** argv) {
   const double seq_s = timer.seconds();
 
   sim::SweepRunner runner(threads);
-  runner.gate_on_audit(machine.audit());
-  if (no_audit) runner.waive_audit();
+  h.arm(runner);
   timer.restart();
   const auto parallel = ubench::memory_latency_scan(
       machine, sizes, 16ull << 20, /*dscr=*/1, runner);
@@ -366,8 +350,7 @@ int main(int argc, char** argv) {
   double width_s[3] = {0.0, 0.0, 0.0};
   for (std::size_t i = 0; i < 3; ++i)
     width_s[i] =
-        timed_sweep(machine, sizes, no_audit, widths[i], sequential,
-                    identical);
+        timed_sweep(h, sizes, widths[i], sequential, identical);
 
   // The heterogeneous multi-preset graph, serial (1 worker) vs a
   // 4-worker stealing pool; the folded checksums must match bit for
@@ -376,7 +359,7 @@ int main(int argc, char** argv) {
   const HeteroOutcome hetero_par = run_hetero_graph(4, hetero_accesses);
 
   // The analytic fast path, for the same machine the hot paths ran on.
-  const predict::Predictor predictor(*machine_spec);
+  const predict::Predictor predictor(h.spec());
   const double predict_qps = predict_queries_per_s(predictor);
   const bool hetero_identical =
       hetero_serial.checksum == hetero_par.checksum;
@@ -423,56 +406,53 @@ int main(int argc, char** argv) {
   std::printf("sweep checksum: %016llx\n\n",
               static_cast<unsigned long long>(checksum));
 
-  if (!bench::write_task_timeline(hetero_par.timeline_json, task_json))
+  if (!bench::write_file(task_json, hetero_par.timeline_json,
+                         "task timeline written to "))
     return 1;
 
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"perf_simcore\",\n"
-                 "  \"threads\": %zu,\n"
-                 "  \"hotpath_accesses\": %llu,\n"
-                 "  \"seq_scan_macc_per_s\": %.3f,\n"
-                 "  \"seq_scan_scalar_macc_per_s\": %.3f,\n"
-                 "  \"chase_macc_per_s\": %.3f,\n"
-                 "  \"chase_scalar_macc_per_s\": %.3f,\n"
-                 "  \"predict_queries_per_s\": %.0f,\n"
-                 "  \"sweep_max_mb\": %llu,\n"
-                 "  \"sweep_points\": %zu,\n"
-                 "  \"sweep_sequential_s\": %.4f,\n"
-                 "  \"sweep_parallel_s\": %.4f,\n"
-                 "  \"sweep_speedup\": %.3f,\n"
-                 "  \"sweep_speedup_w1\": %.3f,\n"
-                 "  \"sweep_speedup_w2\": %.3f,\n"
-                 "  \"sweep_speedup_w4\": %.3f,\n"
-                 "  \"hetero_tasks\": %zu,\n"
-                 "  \"hetero_workers\": 4,\n"
-                 "  \"hetero_serial_s\": %.4f,\n"
-                 "  \"hetero_parallel_s\": %.4f,\n"
-                 "  \"hetero_speedup\": %.3f,\n"
-                 "  \"hetero_checksum\": \"%016llx\",\n"
-                 "  \"hetero_identical\": %s,\n"
-                 "  \"task_engine_steals\": %llu,\n"
-                 "  \"sweep_checksum\": \"%016llx\",\n"
-                 "  \"bit_identical\": %s\n"
-                 "}\n",
-                 runner.threads(),
-                 static_cast<unsigned long long>(accesses),
-                 seq.batched_macc_per_s, seq.scalar_macc_per_s,
-                 cha.batched_macc_per_s, cha.scalar_macc_per_s, predict_qps,
-                 static_cast<unsigned long long>(max_mb), sizes.size(), seq_s,
-                 par_s, speedup, width_speedup(0), width_speedup(1),
-                 width_speedup(2), hetero_par.tasks, hetero_serial.wall_s,
-                 hetero_par.wall_s, hetero_speedup,
-                 static_cast<unsigned long long>(hetero_par.checksum),
-                 hetero_identical ? "true" : "false",
-                 static_cast<unsigned long long>(hetero_par.steals),
-                 static_cast<unsigned long long>(checksum),
-                 all_identical ? "true" : "false");
-    std::fclose(f);
-    std::printf("JSON written to %s\n", json_path.c_str());
-  } else {
-    std::printf("WARNING: could not write %s\n", json_path.c_str());
-  }
+  char json[4096];
+  std::snprintf(json, sizeof json,
+                "{\n"
+                "  \"bench\": \"perf_simcore\",\n"
+                "  \"threads\": %zu,\n"
+                "  \"hotpath_accesses\": %llu,\n"
+                "  \"seq_scan_macc_per_s\": %.3f,\n"
+                "  \"seq_scan_scalar_macc_per_s\": %.3f,\n"
+                "  \"chase_macc_per_s\": %.3f,\n"
+                "  \"chase_scalar_macc_per_s\": %.3f,\n"
+                "  \"predict_queries_per_s\": %.0f,\n"
+                "  \"sweep_max_mb\": %llu,\n"
+                "  \"sweep_points\": %zu,\n"
+                "  \"sweep_sequential_s\": %.4f,\n"
+                "  \"sweep_parallel_s\": %.4f,\n"
+                "  \"sweep_speedup\": %.3f,\n"
+                "  \"sweep_speedup_w1\": %.3f,\n"
+                "  \"sweep_speedup_w2\": %.3f,\n"
+                "  \"sweep_speedup_w4\": %.3f,\n"
+                "  \"hetero_tasks\": %zu,\n"
+                "  \"hetero_workers\": 4,\n"
+                "  \"hetero_serial_s\": %.4f,\n"
+                "  \"hetero_parallel_s\": %.4f,\n"
+                "  \"hetero_speedup\": %.3f,\n"
+                "  \"hetero_checksum\": \"%016llx\",\n"
+                "  \"hetero_identical\": %s,\n"
+                "  \"task_engine_steals\": %llu,\n"
+                "  \"sweep_checksum\": \"%016llx\",\n"
+                "  \"bit_identical\": %s\n"
+                "}\n",
+                runner.threads(),
+                static_cast<unsigned long long>(accesses),
+                seq.batched_macc_per_s, seq.scalar_macc_per_s,
+                cha.batched_macc_per_s, cha.scalar_macc_per_s, predict_qps,
+                static_cast<unsigned long long>(max_mb), sizes.size(), seq_s,
+                par_s, speedup, width_speedup(0), width_speedup(1),
+                width_speedup(2), hetero_par.tasks, hetero_serial.wall_s,
+                hetero_par.wall_s, hetero_speedup,
+                static_cast<unsigned long long>(hetero_par.checksum),
+                hetero_identical ? "true" : "false",
+                static_cast<unsigned long long>(hetero_par.steals),
+                static_cast<unsigned long long>(checksum),
+                all_identical ? "true" : "false");
+  if (!bench::write_file(json_path, json, "JSON written to ")) return 1;
   return all_identical ? 0 : 1;
 }

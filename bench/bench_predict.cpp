@@ -38,12 +38,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -338,57 +336,25 @@ std::string report_json(const std::vector<MachineDiff>& diffs, bool ok) {
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string machines_arg = args.get_string(
-      "machines", "all",
-      "comma-separated registry presets and/or spec .json paths; "
-      "\"all\" = every registry preset");
-  const std::string json_path = args.get_string(
+  bench::Harness h(argc, argv);
+  h.select_machines();
+  const std::string json_path = h.text(
       "json", "", "write the differential matrix (JSON) here; \"\" = off");
-  const bool gate = args.get_flag(
+  const bool gate = h.flag(
       "gate", "exit 1 unless every tolerance, router and speedup gate holds");
-  const double perturb = args.get_double(
+  const double perturb = h.number(
       "perturb", 1.0,
       "scale the predictor's local DRAM latency (gate self-test)");
-  const std::optional<std::size_t> threads_opt = bench::threads_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  if (!threads_opt) return 2;
-  if (perturb <= 0.0) {
-    std::fprintf(stderr, "error: --perturb must be positive\n");
-    return 2;
-  }
-
-  bench::print_header(
-      "Predictor differential",
-      "closed-form analytic tier vs the event-driven simulator");
-
-  std::vector<std::string> selectors;
-  if (machines_arg == "all") {
-    selectors = sim::machine_names();
-  } else {
-    std::string token;
-    for (const char ch : machines_arg + ",") {
-      if (ch != ',') {
-        token += ch;
-        continue;
-      }
-      if (!token.empty()) selectors.push_back(token);
-      token.clear();
-    }
-  }
-  if (selectors.empty()) {
-    std::fprintf(stderr, "error: --machines selected nothing\n");
-    return 2;
-  }
+  if (perturb <= 0.0) h.reject("--perturb must be positive");
+  const std::size_t threads = h.threads();
+  if (auto exit_code = h.start(
+          "Predictor differential",
+          "closed-form analytic tier vs the event-driven simulator"))
+    return *exit_code;
 
   std::vector<MachineDiff> diffs;
-  for (const std::string& selector : selectors) {
-    const auto spec = bench::load_machine(selector);
-    if (!spec) return 2;
-    if (!bench::gate_model(spec->machine(), no_audit)) return 2;
-    diffs.push_back(run_machine(selector, *spec, perturb, *threads_opt));
-  }
+  for (const bench::Selected& m : h.machines())
+    diffs.push_back(run_machine(m.selector, m.spec, perturb, threads));
 
   bool all_ok = true;
   double sim_seconds = 0.0;
@@ -416,7 +382,7 @@ int main(int argc, char** argv) {
   // Throughput separation: the analytic tier against the measured
   // simulator rate on the very same plateau quantities.  Wall-clock —
   // printed, gated, never baselined.
-  const predict::Predictor predictor(*bench::load_machine(selectors.front()));
+  const predict::Predictor predictor(h.machines().front().spec);
   const double qps = measure_queries_per_s(predictor);
   const double sim_pps =
       sim_seconds > 0.0 ? static_cast<double>(sim_points) / sim_seconds : 0.0;
@@ -431,17 +397,8 @@ int main(int argc, char** argv) {
                  "(gate: >=1e5x)\n",
                  speedup);
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    const std::string body = report_json(diffs, all_ok);
-    std::fputs(body.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_file(json_path, report_json(diffs, all_ok), "wrote "))
+    return 1;
 
   const bool pass = all_ok && (!gate || fast_enough);
   std::printf(pass ? "predict differential: all gates hold\n"

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/taskgraph.hpp"
@@ -234,45 +233,20 @@ std::string report_json(const std::vector<MachineReport>& reports, bool ok) {
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string machines_arg = args.get_string(
-      "machines", "all",
-      "comma-separated registry presets and/or spec .json paths; "
-      "\"all\" = every registry preset");
-  const std::string json_path = args.get_string(
-      "json", "BENCH_scaling_matrix.json", "machine-readable output file");
-  const std::optional<std::size_t> threads_opt = bench::threads_arg(args);
-  const std::string task_json = bench::task_json_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  if (!threads_opt) return 2;
-  const std::size_t threads = *threads_opt;
+  bench::Harness h(argc, argv);
+  h.select_machines();
+  const std::string json_path = h.text("json", "BENCH_scaling_matrix.json",
+                                       "machine-readable output file");
+  const std::size_t threads = h.threads();
+  const std::string task_json = h.task_json();
+  if (auto exit_code =
+          h.start("Scaling matrix",
+                  "paper shape invariants across machine configurations"))
+    return *exit_code;
 
-  bench::print_header("Scaling matrix",
-                      "paper shape invariants across machine configurations");
-
-  std::vector<std::string> selectors;
-  if (machines_arg == "all") {
-    selectors = sim::machine_names();
-  } else {
-    std::string token;
-    for (const char ch : machines_arg + ",") {
-      if (ch != ',') {
-        token += ch;
-        continue;
-      }
-      if (!token.empty()) selectors.push_back(token);
-      token.clear();
-    }
-  }
-  if (selectors.empty()) {
-    std::fprintf(stderr, "error: --machines selected nothing\n");
-    return 2;
-  }
-
-  // Load every spec and gate every audit serially up front — the
-  // exit-2 path and the audit diagnostics keep their order — then
-  // submit all machines into ONE task graph: per machine a
+  // start() loaded every spec and gated every audit serially up front,
+  // so the exit-2 path and the audit diagnostics keep their order.
+  // Submit all machines into ONE task graph: per machine a
   // construction task fans into the four analysis passes, which feed a
   // verdict pass.  The engine schedules freely; the reports are
   // slot-indexed and every merge below walks them in selector order,
@@ -284,12 +258,8 @@ int main(int argc, char** argv) {
     MachineReport report;
   };
   std::vector<Job> jobs;
-  for (const std::string& selector : selectors) {
-    const auto spec = bench::load_machine(selector);
-    if (!spec) return 2;
-    if (!bench::gate_model(spec->machine(), no_audit)) return 2;
-    jobs.push_back(Job{selector, *spec, std::nullopt, MachineReport{}});
-  }
+  for (const bench::Selected& m : h.machines())
+    jobs.push_back(Job{m.selector, m.spec, std::nullopt, MachineReport{}});
 
   common::TaskGraph graph;
   for (Job& job : jobs) {
@@ -321,7 +291,7 @@ int main(int argc, char** argv) {
               {lat, bw, mix, noc});
   }
 
-  common::ThreadPool pool(threads ? threads : common::default_thread_count());
+  common::ThreadPool pool(threads);
   common::TaskEngine engine(pool);
   engine.run(graph);
 
@@ -350,20 +320,9 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", t.to_string().c_str());
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    const std::string body = report_json(reports, all_ok);
-    std::fputs(body.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (!bench::write_task_timeline(engine.timeline_json("scaling_matrix"),
-                                  task_json))
+  if (!bench::write_file(json_path, report_json(reports, all_ok), "wrote ") ||
+      !bench::write_file(task_json, engine.timeline_json("scaling_matrix"),
+                         "task timeline written to "))
     return 1;
 
   std::printf(all_ok ? "scaling matrix: all structural invariants hold\n"

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -44,7 +43,6 @@
 #include <unistd.h>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -369,58 +367,28 @@ std::string report_json(const std::vector<MachineServe>& machines,
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string machines_arg = args.get_string(
-      "machines", "all",
-      "comma-separated registry presets; \"all\" = every registry preset");
-  const std::string json_path = args.get_string(
+  bench::Harness h(argc, argv);
+  h.select_machines();
+  const std::string json_path = h.text(
       "json", "", "write the serving report (JSON) here; \"\" = off");
-  const bool gate = args.get_flag(
+  const bool gate = h.flag(
       "gate", "exit 1 unless every identity/hit-rate/accounting gate holds");
-  const auto requests_opt = bench::bounded_int_arg(
-      args, "requests", 200, 40, 100000,
-      "requests in the duplicate-heavy stream");
-  const auto clients_opt = bench::bounded_int_arg(
-      args, "clients", 4, 1, 64, "concurrent client connections");
-  const double perturb = args.get_double(
+  const auto requests = static_cast<std::size_t>(h.integer(
+      "requests", 200, 40, 100000, "requests in the duplicate-heavy stream"));
+  const auto clients = static_cast<int>(
+      h.integer("clients", 4, 1, 64, "concurrent client connections"));
+  const double perturb = h.number(
       "perturb", 0.0,
       "skew every cached value by this much (gate self-test)");
-  const std::optional<std::size_t> threads_opt = bench::threads_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  if (!requests_opt || !clients_opt || !threads_opt) return 2;
-
-  bench::print_header("Serving gate",
-                      "p8serve daemon vs direct two-tier answering");
-
-  std::vector<std::string> selectors;
-  if (machines_arg == "all") {
-    selectors = sim::machine_names();
-  } else {
-    std::string token;
-    for (const char ch : machines_arg + ",") {
-      if (ch != ',') {
-        token += ch;
-        continue;
-      }
-      if (!token.empty()) selectors.push_back(token);
-      token.clear();
-    }
-  }
-  if (selectors.empty()) {
-    std::fprintf(stderr, "error: --machines selected nothing\n");
-    return 2;
-  }
+  const std::size_t threads = h.threads();
+  if (auto exit_code = h.start("Serving gate",
+                               "p8serve daemon vs direct two-tier answering"))
+    return *exit_code;
 
   std::vector<MachineServe> machines;
-  for (const std::string& selector : selectors) {
-    const auto spec = bench::load_machine(selector);
-    if (!spec) return 2;
-    if (!bench::gate_model(spec->machine(), no_audit)) return 2;
-    machines.push_back(run_machine(
-        selector, *spec, static_cast<std::size_t>(*requests_opt),
-        static_cast<int>(*clients_opt), *threads_opt, perturb));
-  }
+  for (const bench::Selected& m : h.machines())
+    machines.push_back(
+        run_machine(m.selector, m.spec, requests, clients, threads, perturb));
 
   bool all_ok = true;
   common::TextTable t({"Machine", "profile", "requests", "hit rate",
@@ -441,17 +409,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", t.to_string().c_str());
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    const std::string body = report_json(machines, all_ok);
-    std::fputs(body.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_file(json_path, report_json(machines, all_ok), "wrote "))
+    return 1;
 
   std::printf(all_ok ? "serving gate: all gates hold\n"
                      : "serving gate: FAILURES (see stderr)\n");

@@ -7,9 +7,9 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  bench::print_header("Table I", "POWER7 and POWER8 at a glance");
+  bench::Harness h(argc, argv);
+  if (auto exit_code = h.start("Table I", "POWER7 and POWER8 at a glance"))
+    return *exit_code;
 
   const arch::ProcessorSpec p7 = arch::power7();
   const arch::ProcessorSpec p8v = arch::power8();

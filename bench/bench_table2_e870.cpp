@@ -8,15 +8,14 @@
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_spec();
+  if (auto exit_code = h.start("Table II",
+                               "characteristics of the E870 under test"))
+    return *exit_code;
 
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const arch::SystemSpec& s = machine_spec->system;
+  const arch::SystemSpec& s = h.spec().system;
 
-  bench::print_header("Table II", "characteristics of the E870 under test");
   common::TextTable t({"Characteristic", "Value"});
   t.add_row({"System", s.name});
   t.add_row({"Sockets (processor chips)", std::to_string(s.sockets)});
@@ -54,14 +53,14 @@ int main(int argc, char** argv) {
 
   bench::print_header("§II headline", "largest POWER8 SMP (192-way)");
   const arch::SystemSpec big = arch::max_power8_smp();
-  common::TextTable h({"Quantity", "Model", "Paper"});
-  h.add_row({"Peak DP (GFLOP/s)", common::fmt_num(big.peak_dp_gflops(), 0),
-             "6144"});
-  h.add_row({"Memory bandwidth (GB/s)", common::fmt_num(big.peak_mem_gbs(), 0),
-             "3686"});
-  h.add_row({"Memory capacity",
-             common::fmt_bytes(static_cast<double>(big.max_dram_bytes())),
-             "16 TB"});
-  std::printf("%s\n", h.to_string().c_str());
+  common::TextTable top({"Quantity", "Model", "Paper"});
+  top.add_row({"Peak DP (GFLOP/s)", common::fmt_num(big.peak_dp_gflops(), 0),
+               "6144"});
+  top.add_row({"Memory bandwidth (GB/s)",
+               common::fmt_num(big.peak_mem_gbs(), 0), "3686"});
+  top.add_row({"Memory capacity",
+               common::fmt_bytes(static_cast<double>(big.max_dram_bytes())),
+               "16 TB"});
+  std::printf("%s\n", top.to_string().c_str());
   return 0;
 }

@@ -4,29 +4,23 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string counters_path = bench::counters_path_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  sim::CounterRegistry* const counters = h.counters("table3");
+  if (auto exit_code =
+          h.start("Table III",
+                  "memory bandwidth vs read:write ratio (64 cores, SMT8)"))
+    return *exit_code;
 
-  bench::print_header("Table III",
-                      "memory bandwidth vs read:write ratio (64 cores, SMT8)");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  const sim::Machine& machine = h.machine();
   // Counter-attachable copy; solves identically to machine.memory().
-  sim::CounterRegistry counters;
   sim::MemoryBandwidthModel mem = machine.memory();
-  if (!counters_path.empty()) mem.attach_counters(&counters);
+  if (counters != nullptr) mem.attach_counters(counters);
   struct Row {
     const char* name;
     sim::RwMix mix;
@@ -54,5 +48,5 @@ int main(int argc, char** argv) {
   std::printf("Best mix 2:1 = %.0f GB/s = %.0f%% of the %.0f GB/s spec peak "
               "(paper: 1,472 GB/s, 80%%).\n",
               best, 100.0 * best / peak, peak);
-  return bench::write_counters(counters, counters_path, "table3") ? 0 : 1;
+  return h.finish(0);
 }

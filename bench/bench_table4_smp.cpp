@@ -4,30 +4,23 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/machine/machine.hpp"
 #include "ubench/workloads.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const std::string counters_path = bench::counters_path_arg(args);
-  const bool no_audit = bench::no_audit_arg(args);
-  const std::string machine_sel = bench::machine_arg(args);
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  h.select_machine();
+  sim::CounterRegistry* const reg = h.counters("table4");
+  if (auto exit_code =
+          h.start("Table IV",
+                  "SMP interconnect latency (ns) and bandwidth (GB/s)"))
+    return *exit_code;
 
-  bench::print_header("Table IV",
-                      "SMP interconnect latency (ns) and bandwidth (GB/s)");
-
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
-  if (!bench::gate_model(machine, no_audit)) return 2;
+  const sim::Machine& machine = h.machine();
   // Counter-attachable copy; solves identically to machine.noc().  The
   // probe-measured column records through ChaseOptions::counters.
-  sim::CounterRegistry counters;
-  sim::CounterRegistry* reg = counters_path.empty() ? nullptr : &counters;
   sim::NocModel noc = machine.noc();
   if (reg != nullptr) noc.attach_counters(reg);
 
@@ -94,5 +87,5 @@ int main(int argc, char** argv) {
       "(direct A bundle) is faster than chip0<->chip5..7; intra-group point\n"
       "bandwidth (single route) is LOWER than inter-group (multipath);\n"
       "X aggregate ~= 3x A aggregate; all-to-all falls in between.\n");
-  return bench::write_counters(counters, counters_path, "table4") ? 0 : 1;
+  return h.finish(0);
 }

@@ -9,23 +9,21 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "hf/scf.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
+  bench::Harness h(argc, argv);
   const double tol =
-      args.get_double("screen-tol", 1e-10, "Schwarz screening tolerance");
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+      h.number("screen-tol", 1e-10, "Schwarz screening tolerance");
+  const std::size_t threads = h.threads();
+  if (auto exit_code = h.start("Table V",
+                               "test molecular systems (host-scaled)"))
+    return *exit_code;
 
-  bench::print_header("Table V", "test molecular systems (host-scaled)");
-
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(threads);
   // Spatially extended systems, so Schwarz screening has far pairs to
   // drop — the paper's molecules span hundreds of atoms.
   const hf::Molecule molecules[] = {

@@ -5,22 +5,20 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "hf/scf.hpp"
 
 int main(int argc, char** argv) {
   using namespace p8;
-  common::ArgParser args(argc, argv);
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  const double size = args.get_double("size-factor", 1.0, "molecule scale");
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  bench::Harness h(argc, argv);
+  const std::size_t threads = h.threads();
+  const double size = h.number("size-factor", 1.0, "molecule scale");
+  if (auto exit_code = h.start("Table VI",
+                               "HF-Comp vs HF-Mem timings (seconds)"))
+    return *exit_code;
 
-  bench::print_header("Table VI", "HF-Comp vs HF-Mem timings (seconds)");
-
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(threads);
   const hf::Molecule molecules[] = {
       hf::alkane(static_cast<int>(8 * size)),
       hf::graphene(static_cast<int>(4 * size)),

@@ -9,11 +9,15 @@
 #include <cstdio>
 #include <exception>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
+#include "common/threading.hpp"
 #include "sim/audit.hpp"
 #include "sim/counters.hpp"
 #include "sim/machine/machine.hpp"
@@ -36,201 +40,326 @@ inline std::string vs_paper(double value, double paper, int digits = 0) {
          common::fmt_num(100.0 * value / paper, 0) + "%)";
 }
 
-/// Declares the shared `--counters` flag: a path to dump the bench's
-/// event counters to, "" (the default) meaning counting stays off.
-inline std::string counters_path_arg(common::ArgParser& args) {
-  return args.get_string(
-      "counters", "",
-      "dump simulator event counters here (.csv => CSV, else JSON)");
-}
-
-/// Writes `registry` to `path`, picking the format from the extension
-/// (".csv"/".CSV" => CSV, anything else => JSON tagged with `bench`).
-/// No-op (returning true) for an empty path, so benches can call it
-/// unconditionally.  An unwritable path prints a clear message to
-/// stderr and returns false — callers turn that into a non-zero exit
-/// so sweep scripts notice the missing dump instead of reading stale
-/// files.
-inline bool write_counters(const sim::CounterRegistry& registry,
-                           const std::string& path,
-                           const std::string& bench) {
+/// The one output writer: writes `body` to `path`, checking the open,
+/// the write and the close (a full disk only surfaces at fclose).  An
+/// empty path means the output is off and is a no-op success.  On
+/// success a non-null `announce` is printed with the path after it; on
+/// failure the error goes to stderr and the result is false — callers
+/// exit 1, so a sweep script never reads a stale file.
+inline bool write_file(const std::string& path, const std::string& body,
+                       const char* announce = nullptr) {
   if (path.empty()) return true;
-  const bool csv = common::iends_with(path, ".csv");
-  const std::string body = csv ? registry.to_csv() : registry.to_json(bench);
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write counters to %s\n", path.c_str());
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fputs(body.c_str(), f) >= 0;
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return false;
   }
-  std::fputs(body.c_str(), f);
-  std::fclose(f);
+  if (announce != nullptr) std::printf("%s%s\n", announce, path.c_str());
   return true;
 }
 
-/// Declares the shared `--threads` flag: how many workers the bench's
-/// sweep pool / task engine uses, 0 (the default) meaning one per
-/// hardware thread.  Out-of-range values (negative, or past a sanity
-/// cap no real pool wants) print a diagnostic and return nullopt —
-/// callers turn that into exit code 2, the same loud-failure path a
-/// misspelled option takes (and `--thread=` itself lands in
-/// finish_args' did-you-mean hint because the flag is declared here).
-inline std::optional<std::size_t> threads_arg(common::ArgParser& args) {
-  const std::int64_t raw = args.get_int(
-      "threads", 0, "task-engine workers (0 = one per hardware thread)");
-  if (raw >= 0 && raw <= 4096) return static_cast<std::size_t>(raw);
-  std::fprintf(stderr,
-               "error: --threads must be between 0 and 4096, got %lld\n",
-               static_cast<long long>(raw));
-  return std::nullopt;
-}
+/// A machine picked by `--machines`, loaded and past its audit gate.
+struct Selected {
+  std::string selector;
+  sim::MachineSpec spec;
+};
 
-/// Declares an integer flag validated the way threads_arg validates
-/// `--threads`: a value that fails to parse ("10x", "abc") or falls
-/// outside [lo, hi] prints a diagnostic and returns nullopt — callers
-/// turn that into exit code 2 instead of crashing on an uncaught
-/// std::invalid_argument or silently running a nonsense configuration.
-inline std::optional<std::int64_t> bounded_int_arg(common::ArgParser& args,
-                                                   const std::string& name,
-                                                   std::int64_t def,
-                                                   std::int64_t lo,
-                                                   std::int64_t hi,
-                                                   const std::string& help) {
-  std::int64_t raw = 0;
-  try {
-    raw = args.get_int(name, def, help);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return std::nullopt;
-  }
-  if (raw < lo || raw > hi) {
-    std::fprintf(stderr,
-                 "error: --%s must be between %lld and %lld, got %lld\n",
-                 name.c_str(), static_cast<long long>(lo),
-                 static_cast<long long>(hi), static_cast<long long>(raw));
-    return std::nullopt;
-  }
-  return raw;
-}
-
-/// Declares the shared `--task-json` flag: where to dump the task
-/// engine's per-task timing timeline, "" (the default) meaning no
-/// artifact.
-inline std::string task_json_arg(common::ArgParser& args) {
-  return args.get_string(
-      "task-json", "",
-      "dump the task-engine timing timeline (JSON) here; \"\" = off");
-}
-
-/// Writes a pre-rendered task-timeline JSON document to `path`.  No-op
-/// returning true for an empty path, so benches call it
-/// unconditionally; an unwritable path prints to stderr and returns
-/// false (callers exit non-zero), mirroring write_counters.
-inline bool write_task_timeline(const std::string& body,
-                                const std::string& path) {
-  if (path.empty()) return true;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write task timeline to %s\n",
-                 path.c_str());
-    return false;
-  }
-  std::fputs(body.c_str(), f);
-  std::fclose(f);
-  std::printf("task timeline written to %s\n", path.c_str());
-  return true;
-}
-
-/// Declares the shared `--machine` flag: which machine to simulate — a
-/// registry preset name or a path to a MachineSpec .json file
-/// (docs/MODEL.md).  `def` is the bench's calibrated default.
-inline std::string machine_arg(common::ArgParser& args,
-                               const std::string& def = "e870") {
-  std::string presets;
-  for (const std::string& name : sim::machine_names()) {
-    if (!presets.empty()) presets += "|";
-    presets += name;
-  }
-  return args.get_string(
-      "machine", def,
-      "machine to simulate: a preset (" + presets + ") or a spec .json path");
-}
-
-/// Resolves a `--machine` selector.  On an unknown preset, unreadable
-/// file or malformed JSON, prints the error to stderr and returns
-/// nullopt — callers turn that into exit code 2.
-inline std::optional<sim::MachineSpec> load_machine(
-    const std::string& selector) {
-  try {
-    return sim::load_machine_spec(selector);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return std::nullopt;
-  }
-}
-
-/// Call once every option is declared, instead of args.finish().
-/// Handles `--help` (prints usage, exit 0) and unknown options (prints
-/// each with a did-you-mean hint, exit 2) without throwing; returns
-/// nullopt when the bench should proceed.  Usage:
+/// One bench binary's command line and the plumbing every bench shares.
+/// A bench asks for what it uses — its own options, a machine, a
+/// counter sink, a worker count — and asking declares the matching
+/// flag, so a bench accepts exactly the flags of what it uses.  start()
+/// then settles the command line in one place: --help prints usage
+/// (exit 0); an unknown option, an invalid value, an unknown machine or
+/// a failed model audit (unless --no-audit) prints a diagnostic (exit
+/// 2); otherwise it prints the header and the bench runs.  A machine is
+/// handed out only after start() passed its audit gate.  finish()
+/// writes the counter dump; every unwritable output exits 1.
 ///
-///   if (auto exit_code = bench::finish_args(args)) return *exit_code;
-inline std::optional<int> finish_args(const common::ArgParser& args) {
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
-  const std::vector<std::string> unknown = args.unknown_args();
-  if (unknown.empty()) return std::nullopt;
-  for (const std::string& name : unknown) {
-    std::fprintf(stderr, "error: unknown option --%s\n", name.c_str());
-    const std::string hint = args.suggest(name);
-    if (!hint.empty())
-      std::fprintf(stderr, "       (did you mean --%s?)\n", hint.c_str());
-  }
-  std::fputs(args.help().c_str(), stderr);
-  return 2;
-}
+///   bench::Harness h(argc, argv);
+///   h.select_machine();
+///   sim::CounterRegistry* const counters = h.counters("fig2");
+///   if (auto exit_code = h.start("Figure 2", "...")) return *exit_code;
+///   const sim::Machine& machine = h.machine();
+///   ...
+///   return h.finish(0);
+class Harness {
+ public:
+  Harness(int argc, const char* const* argv) : args_(parse(argc, argv)) {}
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
 
-/// Declares the shared `--no-audit` flag: waive a failed ModelAudit and
-/// simulate the (structurally wrong) configuration anyway.  Must be
-/// called before args.finish(), like every other declaration.
-inline bool no_audit_arg(common::ArgParser& args) {
-  return args.get_flag(
-      "no-audit",
-      "run even if the machine configuration fails its model audit");
-}
+  // ---- The bench's own options.  A value that does not parse or lies
+  // outside its range is reported by start() (exit 2); until then the
+  // default stands in, so nothing is sized from a bad value.
 
-/// Audit gate every bench runs after constructing its Machine: prints
-/// the audit diagnostics to stderr and returns false — callers turn
-/// that into exit code 2 — when the configuration carries errors and
-/// `no_audit` was not passed.  Warnings are printed but never block.
-/// A waived failing audit is announced so a sweep log shows the run
-/// was a deliberate counterfactual.
-inline bool gate_model(const sim::Machine& machine, bool no_audit) {
-  const sim::AuditReport& report = machine.audit();
-  if (!report.diagnostics.empty())
-    std::fputs(report.to_string().c_str(), stderr);
-  if (report.ok()) return true;
-  if (no_audit) {
-    std::fputs("audit: FAILED but waived by --no-audit\n", stderr);
+  std::string text(const std::string& name, std::string def,
+                   const std::string& help) {
+    return args_.get_string(name, std::move(def), help);
+  }
+  double number(const std::string& name, double def,
+                const std::string& help) {
+    return checked(def, [&] { return args_.get_double(name, def, help); });
+  }
+  bool flag(const std::string& name, const std::string& help) {
+    return checked(false, [&] { return args_.get_flag(name, help); });
+  }
+  std::int64_t integer(const std::string& name, std::int64_t def,
+                       std::int64_t lo, std::int64_t hi,
+                       const std::string& help) {
+    const std::int64_t raw =
+        checked(def, [&] { return args_.get_int(name, def, help); });
+    if (raw >= lo && raw <= hi) return raw;
+    reject("--" + name + " must be between " + std::to_string(lo) +
+           " and " + std::to_string(hi) + ", got " + std::to_string(raw));
+    return def;
+  }
+  /// A usage error the bench found itself; start() reports it, exit 2.
+  void reject(std::string message) { errors_.push_back(std::move(message)); }
+
+  // ---- Shared things; asking for one declares its flag.
+
+  /// `--threads`: workers for the bench's pool or task engine, 0..4096
+  /// with 0 (the default) meaning one per hardware thread.  Returns the
+  /// resolved count, never 0.
+  std::size_t threads() {
+    const std::int64_t n = integer(
+        "threads", 0, 0, 4096,
+        "worker threads (0 = one per hardware thread)");
+    return n == 0 ? common::default_thread_count()
+                  : static_cast<std::size_t>(n);
+  }
+
+  /// `--counters`: the registry to attach the models to, or nullptr
+  /// when no dump was asked for.  finish() writes it (".csv" => CSV,
+  /// anything else => JSON tagged with `bench`).
+  sim::CounterRegistry* counters(std::string bench) {
+    counters_path_ = args_.get_string(
+        "counters", "",
+        "dump simulator event counters here (.csv => CSV, else JSON)");
+    counters_bench_ = std::move(bench);
+    return counters_path_.empty() ? nullptr : &counters_;
+  }
+
+  /// `--task-json`: where to dump the task engine's timing timeline,
+  /// "" (the default) = off; write it with write_file().
+  std::string task_json() {
+    return args_.get_string(
+        "task-json", "",
+        "dump the task-engine timing timeline (JSON) here; \"\" = off");
+  }
+
+  // ---- The machine: a bench picks one of these, or none.
+
+  /// `--machine`: start() loads the selected spec; spec() afterwards.
+  /// For benches that read the configuration but simulate nothing.
+  void select_spec() {
+    select_ = Select::kSpec;
+    selector_ = args_.get_string("machine", "e870", machine_help());
+  }
+  /// `--machine` and `--no-audit`: start() loads the spec, builds the
+  /// machine and gates it on its model audit; machine() afterwards.
+  void select_machine() {
+    select_spec();
+    select_ = Select::kMachine;
+    declare_no_audit();
+  }
+  /// `--machines` and `--no-audit`: start() loads every listed spec and
+  /// gates each one; machines() afterwards, in list order.
+  void select_machines() {
+    select_ = Select::kMachines;
+    selector_ = args_.get_string(
+        "machines", "all",
+        "comma-separated registry presets and/or spec .json paths; "
+        "\"all\" = every registry preset");
+    declare_no_audit();
+  }
+  /// `--no-audit` for a machine the bench builds itself: start() gates
+  /// `machine` like a selected one.
+  void gate(const sim::Machine& machine) {
+    select_ = Select::kOwn;
+    own_ = &machine;
+    declare_no_audit();
+  }
+
+  /// Settles the command line (see the class comment) and, when the run
+  /// goes ahead, prints the header and returns nullopt; otherwise
+  /// returns the exit code.  An empty `artifact` prints no header.
+  std::optional<int> start(const std::string& artifact,
+                           const std::string& description) {
+    if (args_.help_requested()) {
+      std::fputs(args_.help().c_str(), stdout);
+      return 0;
+    }
+    const std::vector<std::string> unknown = args_.unknown_args();
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "error: unknown option --%s\n", name.c_str());
+      const std::string hint = args_.suggest(name);
+      if (!hint.empty())
+        std::fprintf(stderr, "       (did you mean --%s?)\n", hint.c_str());
+    }
+    if (!unknown.empty()) std::fputs(args_.help().c_str(), stderr);
+    for (const std::string& error : errors_)
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+    if (!unknown.empty() || !errors_.empty()) return 2;
+    try {
+      if (!resolve()) return 2;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
+    started_ = true;
+    if (!artifact.empty()) print_header(artifact, description);
+    return std::nullopt;
+  }
+
+  /// The --machine or --machines value as given.
+  const std::string& selector() const { return selector_; }
+  const sim::MachineSpec& spec() const {
+    P8_REQUIRE(started_ && spec_.has_value(),
+               "spec() needs select_spec() or select_machine() and start()");
+    return *spec_;
+  }
+  const sim::Machine& machine() const {
+    P8_REQUIRE(started_ && machine_.has_value(),
+               "machine() needs select_machine() and a passed start()");
+    return *machine_;
+  }
+  const std::vector<Selected>& machines() const {
+    P8_REQUIRE(started_ && select_ == Select::kMachines,
+               "machines() needs select_machines() and a passed start()");
+    return machines_;
+  }
+
+  /// Arms `runner`'s own audit gate with the machine's report (waived
+  /// by --no-audit), so a sweep cannot run a failing model even when
+  /// handed one behind the harness's back.
+  void arm(sim::SweepRunner& runner) const {
+    runner.gate_on_audit(machine().audit());
+    if (no_audit_) runner.waive_audit();
+  }
+
+  /// Writes the counter dump, if one was asked for, and returns the
+  /// bench's exit code — 1 instead when the dump cannot be written.
+  int finish(int exit_code) const {
+    if (counters_path_.empty()) return exit_code;
+    const bool csv = common::iends_with(counters_path_, ".csv");
+    const std::string body =
+        csv ? counters_.to_csv() : counters_.to_json(counters_bench_);
+    return write_file(counters_path_, body) ? exit_code : 1;
+  }
+
+ private:
+  enum class Select { kNone, kSpec, kMachine, kMachines, kOwn };
+
+  common::ArgParser parse(int argc, const char* const* argv) {
+    try {
+      return common::ArgParser(argc, argv);
+    } catch (const std::exception& e) {
+      errors_.push_back(e.what());
+      return common::ArgParser(argc > 0 ? 1 : 0, argv);
+    }
+  }
+
+  template <typename T, typename Get>
+  T checked(T fallback, Get get) {
+    try {
+      return get();
+    } catch (const std::exception& e) {
+      errors_.push_back(e.what());
+      return fallback;
+    }
+  }
+
+  void declare_no_audit() {
+    no_audit_ = flag("no-audit",
+                     "run even if the machine configuration fails its model "
+                     "audit");
+  }
+
+  static std::string machine_help() {
+    std::string presets;
+    for (const std::string& name : sim::machine_names()) {
+      if (!presets.empty()) presets += "|";
+      presets += name;
+    }
+    return "machine to simulate: a preset (" + presets +
+           ") or a spec .json path";
+  }
+
+  /// Loads and gates what the bench selected; false means exit 2.
+  bool resolve() {
+    switch (select_) {
+      case Select::kNone:
+        return true;
+      case Select::kSpec:
+        spec_ = sim::load_machine_spec(selector_);
+        return true;
+      case Select::kMachine:
+        spec_ = sim::load_machine_spec(selector_);
+        machine_.emplace(spec_->machine());
+        return admit(machine_->audit());
+      case Select::kOwn:
+        return admit(own_->audit());
+      case Select::kMachines:
+        break;
+    }
+    std::vector<std::string> selectors;
+    if (selector_ == "all") {
+      selectors = sim::machine_names();
+    } else {
+      std::istringstream list(selector_);
+      for (std::string token; std::getline(list, token, ',');)
+        if (!token.empty()) selectors.push_back(token);
+    }
+    if (selectors.empty()) {
+      std::fputs("error: --machines selected nothing\n", stderr);
+      return false;
+    }
+    for (const std::string& selector : selectors) {
+      machines_.push_back({selector, sim::load_machine_spec(selector)});
+      if (!admit(machines_.back().spec.audit())) return false;
+    }
     return true;
   }
-  std::fputs(
-      "audit: FAILED — refusing to simulate a structurally wrong machine "
-      "(pass --no-audit to run anyway)\n",
-      stderr);
-  return false;
-}
 
-/// gate_model() for benches that sweep: also arms (or waives) the
-/// SweepRunner's own gate, so a model that dodges the bench-level check
-/// still cannot be swept.
-inline bool gate_model(const sim::Machine& machine, sim::SweepRunner& runner,
-                       bool no_audit) {
-  runner.gate_on_audit(machine.audit());
-  if (no_audit) runner.waive_audit();
-  return gate_model(machine, no_audit);
-}
+  /// The audit gate: prints the diagnostics to stderr; a report with
+  /// errors blocks the run unless --no-audit waives it, and a waived
+  /// failure is announced so a sweep log shows the run was a deliberate
+  /// counterfactual.  Warnings never block.
+  bool admit(const sim::AuditReport& report) const {
+    if (!report.diagnostics.empty())
+      std::fputs(report.to_string().c_str(), stderr);
+    if (report.ok()) return true;
+    if (no_audit_) {
+      std::fputs("audit: FAILED but waived by --no-audit\n", stderr);
+      return true;
+    }
+    std::fputs(
+        "audit: FAILED — refusing to simulate a structurally wrong machine "
+        "(pass --no-audit to run anyway)\n",
+        stderr);
+    return false;
+  }
+
+  std::vector<std::string> errors_;  // before args_: parse() fills it
+  common::ArgParser args_;
+  Select select_ = Select::kNone;
+  std::string selector_;
+  bool no_audit_ = false;
+  bool started_ = false;
+  const sim::Machine* own_ = nullptr;
+  std::optional<sim::MachineSpec> spec_;
+  std::optional<sim::Machine> machine_;
+  std::vector<Selected> machines_;
+  sim::CounterRegistry counters_;
+  std::string counters_path_;
+  std::string counters_bench_;
+};
 
 // ---------------------------------------------------------------------------
 // Tolerance-table gate machinery, shared by bench_scaling_matrix and

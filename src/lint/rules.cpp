@@ -54,12 +54,6 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-bool has_identifier(const FileContext& ctx, const char* what) {
-  for (std::size_t k = 0; k < ctx.code.size(); ++k)
-    if (is_ident(ctx, k, what)) return true;
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Determinism rules.  Scope: the model directories whose outputs are
 // pinned bit for bit (BENCH_*.json baselines, fidelity gate rows).
@@ -294,54 +288,6 @@ void rule_contract_static_assert(const FileContext& ctx,
           "read as part of the contract family");
 }
 
-// ---------------------------------------------------------------------------
-// Bench hygiene rules: every bench parses flags through ArgParser
-// (typos fail loudly), simulates a declared --machine, and refuses to
-// run a machine that fails its model audit.
-
-void rule_bench_argparser(const FileContext& ctx, std::vector<Finding>& out) {
-  if (!is_bench_source(ctx.path)) return;
-  if (has_identifier(ctx, "ArgParser")) return;
-  out.push_back(Finding{
-      ctx.path, 1, "bench-argparser",
-      "bench binary without common::ArgParser — flags must fail loudly "
-      "on typos (unknown_args + did-you-mean); see bench_util.hpp"});
-}
-
-void rule_bench_machine_flag(const FileContext& ctx,
-                             std::vector<Finding>& out) {
-  if (!is_bench_source(ctx.path)) return;
-  const bool uses_machine = has_identifier(ctx, "Machine") ||
-                            has_identifier(ctx, "MachineSpec") ||
-                            has_identifier(ctx, "load_machine");
-  if (!uses_machine) return;
-  if (has_identifier(ctx, "machine_arg")) return;
-  // Sweep benches declare the selector directly as a --machines list.
-  for (std::size_t k = 0; k < ctx.code.size(); ++k) {
-    if (tok(ctx, k).kind != Tok::kString) continue;
-    const std::string payload = string_payload(tok(ctx, k));
-    if (payload == "machine" || payload == "machines") return;
-  }
-  out.push_back(Finding{
-      ctx.path, 1, "bench-machine-flag",
-      "bench simulates a machine but declares no --machine= selector "
-      "(bench::machine_arg) — every simulated artifact must be "
-      "reproducible on any registry preset"});
-}
-
-void rule_bench_audit_gate(const FileContext& ctx, std::vector<Finding>& out) {
-  if (!is_bench_source(ctx.path)) return;
-  if (!has_identifier(ctx, "Machine")) return;  // MachineSpec-only: analytic
-  if (has_identifier(ctx, "gate_model") || has_identifier(ctx, "ModelAudit") ||
-      has_identifier(ctx, "audit"))
-    return;
-  out.push_back(Finding{
-      ctx.path, 1, "bench-audit-gate",
-      "bench constructs a sim::Machine without gating on its model "
-      "audit (bench::gate_model) — a structurally wrong configuration "
-      "must refuse to simulate, not emit plausible curves"});
-}
-
 /// lint-annotation findings are produced by the engine (it owns
 /// annotation parsing); the registry entry exists so the rule is
 /// listable, allowlistable and covered by the fixture corpus.
@@ -379,14 +325,6 @@ const std::vector<Rule> kRules = {
     {"contract-static-assert",
      "headers spell compile-time contracts P8_STATIC_REQUIRE",
      rule_contract_static_assert},
-    {"bench-argparser", "every bench parses flags through common::ArgParser",
-     rule_bench_argparser},
-    {"bench-machine-flag",
-     "every simulating bench declares --machine= via bench::machine_arg",
-     rule_bench_machine_flag},
-    {"bench-audit-gate",
-     "every bench constructing a sim::Machine gates on its model audit",
-     rule_bench_audit_gate},
     {"lint-annotation",
      "p8lint allow() annotations must name known rules and justify "
      "themselves",
@@ -408,10 +346,6 @@ bool path_in_model_scope(const std::string& path) {
          starts_with(path, "src/predict/") ||
          starts_with(path, "src/serve/") ||
          starts_with(path, "src/ubench/") || starts_with(path, "bench/");
-}
-
-bool is_bench_source(const std::string& path) {
-  return starts_with(path, "bench/bench_") && ends_with(path, ".cpp");
 }
 
 bool is_hot_path_header(const std::string& path) {

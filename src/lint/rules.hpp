@@ -49,7 +49,6 @@ const Rule* find_rule(const std::string& id);
 
 // Path predicates shared by the rules and the fixture runner.
 bool path_in_model_scope(const std::string& path);  // determinism rules
-bool is_bench_source(const std::string& path);      // bench hygiene rules
 bool is_hot_path_header(const std::string& path);   // contract-throw rule
 
 /// The counter-name grammar: optional leading/trailing dot joiners

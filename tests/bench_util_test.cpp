@@ -1,14 +1,16 @@
-// Tests for the shared bench helpers (bench/bench_util.hpp): counter
-// dumps — including CSV/JSON escaping of hostile counter names — the
-// --machine / unknown-option plumbing every bench main() uses, the
-// --threads / --task-json task-engine flags, and the tolerance-table
-// gate machinery shared by bench_scaling_matrix and bench_predict.
+// Tests for the shared bench helpers (bench/bench_util.hpp): the bench
+// harness — counter dumps (including CSV/JSON escaping of hostile
+// counter names), the checked output writer, --help / unknown-option /
+// invalid-value settling, --threads, machine selection and the audit
+// gate — and the tolerance-table gate machinery shared by
+// bench_scaling_matrix and bench_predict.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -24,29 +26,37 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
+/// A counter dump through the harness: `--counters=<path>` (none for
+/// ""), one counter, start(), finish(); returns finish()'s exit code.
+int dump_counters(const std::string& path) {
+  const std::string flag = "--counters=" + path;
+  const char* argv[] = {"t", flag.c_str()};
+  bench::Harness h(path.empty() ? 1 : 2, argv);
+  sim::CounterRegistry* const reg = h.counters("t");
+  EXPECT_EQ(reg == nullptr, path.empty());
+  if (reg != nullptr) *reg->slot("probe.hits") = 42;
+  EXPECT_FALSE(h.start("", "").has_value());
+  return h.finish(0);
+}
+
 TEST(WriteCounters, EmptyPathIsANoOpSuccess) {
-  sim::CounterRegistry reg;
-  *reg.slot("a.b") = 1;
-  EXPECT_TRUE(bench::write_counters(reg, "", "bench"));
+  EXPECT_EQ(dump_counters(""), 0);
 }
 
 TEST(WriteCounters, ExtensionPicksTheFormat) {
-  sim::CounterRegistry reg;
-  *reg.slot("probe.hits") = 42;
-
   const std::string csv_path = "bench_util_test_dump.csv";
-  ASSERT_TRUE(bench::write_counters(reg, csv_path, "t"));
+  ASSERT_EQ(dump_counters(csv_path), 0);
   EXPECT_EQ(slurp(csv_path), "counter,value\nprobe.hits,42\n");
   std::remove(csv_path.c_str());
 
   // Case-insensitive extension sniff, like every other path option.
   const std::string upper_path = "bench_util_test_dump.CSV";
-  ASSERT_TRUE(bench::write_counters(reg, upper_path, "t"));
+  ASSERT_EQ(dump_counters(upper_path), 0);
   EXPECT_EQ(slurp(upper_path), "counter,value\nprobe.hits,42\n");
   std::remove(upper_path.c_str());
 
   const std::string json_path = "bench_util_test_dump.json";
-  ASSERT_TRUE(bench::write_counters(reg, json_path, "t"));
+  ASSERT_EQ(dump_counters(json_path), 0);
   EXPECT_EQ(slurp(json_path),
             "{\n  \"bench\": \"t\",\n  \"counters\": {\n"
             "    \"probe.hits\": 42\n  }\n}\n");
@@ -54,10 +64,15 @@ TEST(WriteCounters, ExtensionPicksTheFormat) {
 }
 
 TEST(WriteCounters, UnwritablePathFailsLoudly) {
-  sim::CounterRegistry reg;
-  *reg.slot("a") = 1;
-  EXPECT_FALSE(
-      bench::write_counters(reg, "no/such/dir/bench_util_test.csv", "t"));
+  EXPECT_EQ(dump_counters("no/such/dir/bench_util_test.csv"), 1);
+}
+
+TEST(WriteFile, ChecksTheOpenTheWriteAndTheClose) {
+  EXPECT_TRUE(bench::write_file("", "ignored")) << "\"\" means off";
+  EXPECT_FALSE(bench::write_file("no/such/dir/out.json", "{}"));
+  // A full disk opens fine and only fails when the data is flushed.
+  EXPECT_FALSE(bench::write_file("/dev/full", "{}"));
+  EXPECT_EQ(dump_counters("/dev/full"), 1);
 }
 
 TEST(CounterCsv, HostileNamesAreRfc4180Quoted) {
@@ -84,85 +99,153 @@ TEST(CounterJson, HostileNamesAreEscaped) {
 }
 
 // ---------------------------------------------------------------------------
-
-common::ArgParser make_args(std::vector<const char*> argv) {
-  argv.insert(argv.begin(), "bench_util_test");
-  return common::ArgParser(static_cast<int>(argv.size()), argv.data());
-}
+// Command-line settling: --help, unknown options, invalid values,
+// machine selection and the audit gate.
 
 TEST(FinishArgs, ProceedsOnCleanCommandLines) {
-  common::ArgParser args = make_args({"--machine=e870"});
-  (void)bench::machine_arg(args);
-  EXPECT_FALSE(bench::finish_args(args).has_value());
+  const char* argv[] = {"t", "--machine=e870"};
+  bench::Harness h(2, argv);
+  h.select_spec();
+  EXPECT_FALSE(h.start("", "").has_value());
 }
 
 TEST(FinishArgs, HelpExitsZero) {
-  common::ArgParser args = make_args({"--help"});
-  (void)bench::machine_arg(args);
-  const auto exit_code = bench::finish_args(args);
-  ASSERT_TRUE(exit_code.has_value());
-  EXPECT_EQ(*exit_code, 0);
+  const char* argv[] = {"t", "--help"};
+  bench::Harness h(2, argv);
+  h.select_spec();
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(h.start("Table", "never printed"), 0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(out.find("--machine"), std::string::npos) << out;
+  EXPECT_NE(out.find("e880"), std::string::npos) << "presets advertised";
+  EXPECT_EQ(out.find("never printed"), std::string::npos) << out;
 }
 
 TEST(FinishArgs, UnknownOptionExitsTwo) {
-  common::ArgParser args = make_args({"--machin=e870"});
-  (void)bench::machine_arg(args);
-  const auto exit_code = bench::finish_args(args);
-  ASSERT_TRUE(exit_code.has_value());
-  EXPECT_EQ(*exit_code, 2);
+  for (const char* flag : {"--machin=e870", "stray-positional"}) {
+    const char* argv[] = {"t", flag};
+    bench::Harness h(2, argv);
+    h.select_spec();
+    EXPECT_EQ(h.start("", ""), 2) << flag;
+  }
 }
 
 TEST(MachineArg, DefaultsToE870AndAdvertisesPresets) {
-  common::ArgParser args = make_args({});
-  EXPECT_EQ(bench::machine_arg(args), "e870");
-  EXPECT_NE(args.help().find("e880"), std::string::npos);
+  const char* argv[] = {"t"};
+  bench::Harness h(1, argv);
+  h.select_spec();
+  ASSERT_FALSE(h.start("", "").has_value());
+  EXPECT_EQ(h.selector(), "e870");
+  EXPECT_EQ(h.spec(), sim::machine_spec("e870"));
 }
 
 TEST(ThreadsArg, DefaultsToZeroMeaningHardwareThreads) {
-  common::ArgParser args = make_args({});
-  const auto threads = bench::threads_arg(args);
-  ASSERT_TRUE(threads.has_value());
-  EXPECT_EQ(*threads, 0u);
+  const char* argv[] = {"t", "--threads=0"};
+  bench::Harness absent(1, argv);
+  EXPECT_EQ(absent.threads(), common::default_thread_count());
+  bench::Harness zero(2, argv);
+  EXPECT_EQ(zero.threads(), common::default_thread_count());
+  EXPECT_FALSE(zero.start("", "").has_value());
 }
 
 TEST(ThreadsArg, AcceptsTheFullValidRange) {
-  for (const char* flag : {"--threads=1", "--threads=7", "--threads=4096"}) {
-    common::ArgParser args = make_args({flag});
-    EXPECT_TRUE(bench::threads_arg(args).has_value()) << flag;
+  for (const std::size_t n : {1, 7, 4096}) {
+    const std::string flag = "--threads=" + std::to_string(n);
+    const char* argv[] = {"t", flag.c_str()};
+    bench::Harness h(2, argv);
+    EXPECT_EQ(h.threads(), n);
+    EXPECT_FALSE(h.start("", "").has_value()) << flag;
   }
 }
 
 TEST(ThreadsArg, RejectsOutOfRangeValues) {
   for (const char* flag : {"--threads=-1", "--threads=4097",
-                           "--threads=1000000"}) {
-    common::ArgParser args = make_args({flag});
-    EXPECT_FALSE(bench::threads_arg(args).has_value()) << flag;
+                           "--threads=1000000", "--threads=abc"}) {
+    const char* argv[] = {"t", flag};
+    bench::Harness h(2, argv);
+    // The bad value never reaches the bench: the default stands in
+    // until start() refuses the run.
+    EXPECT_EQ(h.threads(), common::default_thread_count()) << flag;
+    EXPECT_EQ(h.start("Never", "printed"), 2) << flag;
   }
 }
 
 TEST(TaskTimeline, EmptyPathIsANoOpSuccess) {
-  EXPECT_TRUE(bench::write_task_timeline("{}", ""));
+  const char* argv[] = {"t"};
+  bench::Harness h(1, argv);
+  EXPECT_EQ(h.task_json(), "");
+  EXPECT_TRUE(bench::write_file(h.task_json(), "{}"));
 }
 
 TEST(TaskTimeline, WritesTheBodyVerbatim) {
   const std::string path = "bench_util_test_timeline.json";
+  const std::string flag = "--task-json=" + path;
+  const char* argv[] = {"t", flag.c_str()};
+  bench::Harness h(2, argv);
   const std::string body = "{\"bench\": \"t\", \"timeline\": []}\n";
-  ASSERT_TRUE(bench::write_task_timeline(body, path));
+  ::testing::internal::CaptureStdout();
+  ASSERT_TRUE(bench::write_file(h.task_json(), body, "timeline in "));
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+            "timeline in " + path + "\n");
   EXPECT_EQ(slurp(path), body);
   std::remove(path.c_str());
 }
 
 TEST(TaskTimeline, UnwritablePathFailsLoudly) {
-  EXPECT_FALSE(
-      bench::write_task_timeline("{}", "no/such/dir/timeline.json"));
+  const char* argv[] = {"t", "--task-json=no/such/dir/timeline.json"};
+  bench::Harness h(2, argv);
+  EXPECT_FALSE(bench::write_file(h.task_json(), "{}"));
 }
 
 TEST(LoadMachine, ResolvesPresetsAndRejectsGarbage) {
-  const auto spec = bench::load_machine("e850c");
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->system.sockets, 2);
-  EXPECT_FALSE(bench::load_machine("e999").has_value());
-  EXPECT_FALSE(bench::load_machine("missing_file.json").has_value());
+  const char* good[] = {"t", "--machine=e850c"};
+  bench::Harness h(2, good);
+  h.select_machine();
+  EXPECT_ANY_THROW((void)h.machine()) << "no machine before start()";
+  ASSERT_FALSE(h.start("", "").has_value());
+  EXPECT_EQ(h.machine().spec().sockets, 2);
+
+  for (const char* flag : {"--machine=e999", "--machine=missing_file.json"}) {
+    const char* argv[] = {"t", flag};
+    bench::Harness bad(2, argv);
+    bad.select_machine();
+    EXPECT_EQ(bad.start("", ""), 2) << flag;
+    EXPECT_ANY_THROW((void)bad.machine()) << "no machine after a failure";
+  }
+}
+
+TEST(LoadMachine, MachinesListKeepsOrderAndRejectsAnEmptyList) {
+  const char* argv[] = {"t", "--machines=e850c,,e870"};
+  bench::Harness h(2, argv);
+  h.select_machines();
+  ASSERT_FALSE(h.start("", "").has_value());
+  ASSERT_EQ(h.machines().size(), 2u);
+  EXPECT_EQ(h.machines()[0].selector, "e850c");
+  EXPECT_EQ(h.machines()[1].spec, sim::machine_spec("e870"));
+
+  const char* none[] = {"t", "--machines=,"};
+  bench::Harness empty(2, none);
+  empty.select_machines();
+  EXPECT_EQ(empty.start("", ""), 2);
+}
+
+TEST(AuditGate, FailingMachineExitsTwoBeforeTheHeaderUnlessWaived) {
+  arch::SystemSpec swapped = arch::e870();
+  std::swap(swapped.processor.core.l2_bytes, swapped.processor.core.l3_bytes);
+  const sim::Machine machine(swapped);
+  for (const int argc : {1, 2}) {
+    const char* argv[] = {"t", "--no-audit"};
+    bench::Harness h(argc, argv);
+    h.gate(machine);
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const auto exit_code = h.start("Header", "printed only when waived");
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("audit: FAILED"), std::string::npos) << err;
+    EXPECT_EQ(exit_code.has_value(), argc == 1);
+    EXPECT_EQ(out.empty(), argc == 1) << out;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -243,9 +326,8 @@ TEST(ToleranceChecks, VerdictRendersStatusAndGatesOnlyOnFail) {
 }
 
 TEST(HierarchyLandmarks, CoversEveryLevelOfTheE870MidPlateau) {
-  const auto spec = bench::load_machine("e870");
-  ASSERT_TRUE(spec.has_value());
-  const auto landmarks = bench::hierarchy_landmarks(spec->system);
+  const sim::MachineSpec spec = sim::machine_spec("e870");
+  const auto landmarks = bench::hierarchy_landmarks(spec.system);
   ASSERT_EQ(landmarks.size(), 6u);
   const char* levels[] = {"L1", "L2", "L3", "chip-L3", "L4", "DRAM"};
   for (std::size_t i = 0; i < landmarks.size(); ++i) {
@@ -254,21 +336,20 @@ TEST(HierarchyLandmarks, CoversEveryLevelOfTheE870MidPlateau) {
   }
   // Each landmark sits strictly inside its plateau: L1's is half the
   // L1, L2's between the L1 and L2 capacities, and so on.
-  EXPECT_EQ(landmarks[0].bytes, spec->system.processor.core.l1d_bytes / 2);
-  EXPECT_LT(landmarks[1].bytes, spec->system.processor.core.l2_bytes);
-  EXPECT_GT(landmarks[1].bytes, spec->system.processor.core.l1d_bytes);
+  EXPECT_EQ(landmarks[0].bytes, spec.system.processor.core.l1d_bytes / 2);
+  EXPECT_LT(landmarks[1].bytes, spec.system.processor.core.l2_bytes);
+  EXPECT_GT(landmarks[1].bytes, spec.system.processor.core.l1d_bytes);
 }
 
 TEST(HierarchyLandmarks, SkipsLevelsTheSpecDoesNotHave) {
-  auto spec = bench::load_machine("e870");
-  ASSERT_TRUE(spec.has_value());
+  sim::MachineSpec spec = sim::machine_spec("e870");
   // Ablate the L4 below the chip L3: the L4 plateau disappears and the
   // DRAM landmark is sized off the deepest remaining level.
-  spec->system.centaur.l4_bytes = 1;
-  const auto landmarks = bench::hierarchy_landmarks(spec->system);
+  spec.system.centaur.l4_bytes = 1;
+  const auto landmarks = bench::hierarchy_landmarks(spec.system);
   for (const auto& lm : landmarks) EXPECT_STRNE(lm.level, "L4");
-  const std::uint64_t chip_l3 = spec->system.processor.l3_total_bytes(
-      spec->system.cores_per_chip);
+  const std::uint64_t chip_l3 =
+      spec.system.processor.l3_total_bytes(spec.system.cores_per_chip);
   EXPECT_EQ(landmarks.back().bytes, 4 * chip_l3);
 }
 

@@ -364,8 +364,16 @@ std::vector<std::string> rule_ids(const std::vector<Finding>& findings) {
   return ids;
 }
 
-TEST(LintRules, RegistryHasAtLeastTwelveNamedRules) {
-  EXPECT_GE(rules().size(), 12u);
+TEST(LintRules, RegistryListsExactlyTheseRulesInOrder) {
+  std::vector<std::string> ids;
+  for (const Rule& r : rules()) ids.push_back(r.id);
+  const std::vector<std::string> expected = {
+      "det-rand", "det-wall-clock", "det-unordered-iter",
+      "conc-weak-atomic", "conc-volatile", "conc-detach",
+      "counter-name-grammar", "counter-undocumented",
+      "contract-throw-header", "contract-static-assert",
+      "lint-annotation"};
+  EXPECT_EQ(ids, expected);
   for (const Rule& r : rules()) {
     EXPECT_EQ(find_rule(r.id), &r);
     EXPECT_NE(std::string(r.summary), "");

@@ -30,7 +30,6 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "sim/counters.hpp"
 #include "sim/machine/machine.hpp"
@@ -87,8 +86,7 @@ int report(const std::string& mode, const std::string& machine_sel,
            const std::string& workload, const std::string& trace_path,
            const sim::BatchStats& stats,
            const std::vector<trace::ChunkedReplayer::Mark>& marks,
-           double now_ns, const sim::CounterRegistry* registry,
-           const std::string& counters_path, const std::string& json_path) {
+           double now_ns, const std::string& json_path) {
   std::printf("%s: %s on %s\n", mode.c_str(), workload.c_str(),
               machine_sel.c_str());
   if (!trace_path.empty()) std::printf("trace: %s\n", trace_path.c_str());
@@ -109,70 +107,55 @@ int report(const std::string& mode, const std::string& machine_sel,
                 window_accesses, window_ns / static_cast<double>(window_accesses));
   std::printf("max_rss_kb: %ld\n", max_rss_kb());
 
-  if (registry != nullptr &&
-      !bench::write_counters(*registry, counters_path, "p8trace"))
-    return 1;
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"tool\": \"p8trace\",\n"
-                 "  \"mode\": \"%s\",\n"
-                 "  \"machine\": \"%s\",\n"
-                 "  \"workload\": \"%s\",\n"
-                 "  \"trace\": \"%s\",\n"
-                 "  \"accesses\": %" PRIu64 ",\n"
-                 "  \"l1_fast_hits\": %" PRIu64 ",\n"
-                 "  \"prefetched_hits\": %" PRIu64 ",\n"
-                 "  \"busy_ns\": %.6f,\n"
-                 "  \"now_ns\": %.6f,\n"
-                 "  \"window_accesses\": %" PRIu64 ",\n"
-                 "  \"window_ns\": %.6f,\n"
-                 "  \"max_rss_kb\": %ld\n"
-                 "}\n",
-                 mode.c_str(), machine_sel.c_str(), workload.c_str(),
-                 trace_path.c_str(), stats.accesses, stats.l1_fast_hits,
-                 stats.prefetched_hits, stats.busy_ns, now_ns,
-                 window_accesses, window_ns, max_rss_kb());
-    std::fclose(f);
-    std::printf("JSON written to %s\n", json_path.c_str());
-  }
-  return 0;
+  char json[2048];
+  std::snprintf(json, sizeof json,
+                "{\n"
+                "  \"tool\": \"p8trace\",\n"
+                "  \"mode\": \"%s\",\n"
+                "  \"machine\": \"%s\",\n"
+                "  \"workload\": \"%s\",\n"
+                "  \"trace\": \"%s\",\n"
+                "  \"accesses\": %" PRIu64 ",\n"
+                "  \"l1_fast_hits\": %" PRIu64 ",\n"
+                "  \"prefetched_hits\": %" PRIu64 ",\n"
+                "  \"busy_ns\": %.6f,\n"
+                "  \"now_ns\": %.6f,\n"
+                "  \"window_accesses\": %" PRIu64 ",\n"
+                "  \"window_ns\": %.6f,\n"
+                "  \"max_rss_kb\": %ld\n"
+                "}\n",
+                mode.c_str(), machine_sel.c_str(), workload.c_str(),
+                trace_path.c_str(), stats.accesses, stats.l1_fast_hits,
+                stats.prefetched_hits, stats.busy_ns, now_ns,
+                window_accesses, window_ns, max_rss_kb());
+  return bench::write_file(json_path, json, "JSON written to ") ? 0 : 1;
 }
 
-int cmd_record(common::ArgParser& args) {
+int cmd_record(bench::Harness& h) {
   const std::string workload_name =
-      args.get_string("workload", "", "workload to record (see usage)");
-  const std::string out = args.get_string("out", "", "trace file to write");
-  const std::string machine_sel = bench::machine_arg(args);
-  const auto accesses = bench::bounded_int_arg(
-      args, "accesses", 0, 0, std::int64_t{1} << 40,
-      "scale the workload to ~N accesses (0 = workload default)");
-  const auto chunk_records = bench::bounded_int_arg(
-      args, "chunk-records", trace::kDefaultChunkRecords, 1,
-      std::int64_t{1} << 31, "records per trace chunk");
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  if (!accesses || !chunk_records) return 2;
+      h.text("workload", "", "workload to record (see usage)");
+  const std::string out = h.text("out", "", "trace file to write");
+  h.select_spec();
+  const auto accesses = static_cast<std::uint64_t>(
+      h.integer("accesses", 0, 0, std::int64_t{1} << 40,
+                "scale the workload to ~N accesses (0 = workload default)"));
+  const auto chunk_records = static_cast<std::uint32_t>(
+      h.integer("chunk-records", trace::kDefaultChunkRecords, 1,
+                std::int64_t{1} << 31, "records per trace chunk"));
+  if (auto exit_code = h.start("", "")) return *exit_code;
   const ubench::TraceWorkload* w = resolve_workload(workload_name);
   if (w == nullptr) return 2;
   if (out.empty()) {
     std::fputs("error: --out is required\n", stderr);
     return 2;
   }
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
+  const sim::Machine machine = h.spec().machine();
 
   trace::WriterOptions options;
-  options.chunk_records = static_cast<std::uint32_t>(*chunk_records);
+  options.chunk_records = chunk_records;
   try {
     trace::TraceWriter writer(out, options);
-    w->emit(machine, static_cast<std::uint64_t>(*accesses), writer);
+    w->emit(machine, accesses, writer);
     writer.finish();
     std::printf("recorded %" PRIu64 " records (%" PRIu64
                 " accesses) in %" PRIu64 " chunks, %" PRIu64 " bytes -> %s\n",
@@ -186,31 +169,27 @@ int cmd_record(common::ArgParser& args) {
   return 0;
 }
 
-int cmd_replay(common::ArgParser& args) {
-  const std::string in = args.get_string("in", "", "trace file to replay");
-  const std::string workload_name = args.get_string(
+int cmd_replay(bench::Harness& h) {
+  const std::string in = h.text("in", "", "trace file to replay");
+  const std::string workload_name = h.text(
       "workload", "", "workload the trace was recorded from (probe config)");
-  const std::string machine_sel = bench::machine_arg(args);
-  const std::string counters_path = bench::counters_path_arg(args);
+  h.select_spec();
+  sim::CounterRegistry* const counters = h.counters("p8trace");
   const std::string json_path =
-      args.get_string("json", "", "machine-readable output file");
-  const bool use_mmap = args.get_flag("mmap", "mmap the trace file");
-  const bool no_verify =
-      args.get_flag("no-verify", "skip the footer checksum pass");
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+      h.text("json", "", "machine-readable output file");
+  const bool use_mmap = h.flag("mmap", "mmap the trace file");
+  const bool no_verify = h.flag("no-verify", "skip the footer checksum pass");
+  if (auto exit_code = h.start("", "")) return *exit_code;
   if (in.empty()) {
     std::fputs("error: --in is required\n", stderr);
     return 2;
   }
   const ubench::TraceWorkload* w = resolve_workload(workload_name);
   if (w == nullptr) return 2;
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
+  const sim::Machine machine = h.spec().machine();
 
-  sim::CounterRegistry registry;
   sim::ProbeOptions probe_options = w->probe_options;
-  if (!counters_path.empty()) probe_options.counters = &registry;
+  probe_options.counters = counters;
 
   try {
     trace::ReaderOptions options;
@@ -219,52 +198,45 @@ int cmd_replay(common::ArgParser& args) {
     trace::TraceReader reader(in, options);
     sim::LatencyProbe probe = machine.probe(probe_options);
     const trace::ReplayResult result = trace::replay_trace(reader, probe);
-    return report("replay", machine_sel, w->name, in, result.stats,
-                  result.marks, probe.now_ns(),
-                  counters_path.empty() ? nullptr : &registry, counters_path,
-                  json_path);
+    return h.finish(report("replay", h.selector(), w->name, in, result.stats,
+                           result.marks, probe.now_ns(), json_path));
   } catch (const trace::TraceError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 }
 
-int cmd_run(common::ArgParser& args) {
+int cmd_run(bench::Harness& h) {
   const std::string workload_name =
-      args.get_string("workload", "", "workload to simulate (see usage)");
-  const std::string machine_sel = bench::machine_arg(args);
-  const std::string counters_path = bench::counters_path_arg(args);
+      h.text("workload", "", "workload to simulate (see usage)");
+  h.select_spec();
+  sim::CounterRegistry* const counters = h.counters("p8trace");
   const std::string json_path =
-      args.get_string("json", "", "machine-readable output file");
-  const auto accesses = bench::bounded_int_arg(
-      args, "accesses", 0, 0, std::int64_t{1} << 40,
-      "scale the workload to ~N accesses (0 = workload default)");
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
-  if (!accesses) return 2;
+      h.text("json", "", "machine-readable output file");
+  const auto accesses = static_cast<std::uint64_t>(
+      h.integer("accesses", 0, 0, std::int64_t{1} << 40,
+                "scale the workload to ~N accesses (0 = workload default)"));
+  if (auto exit_code = h.start("", "")) return *exit_code;
   const ubench::TraceWorkload* w = resolve_workload(workload_name);
   if (w == nullptr) return 2;
-  const auto machine_spec = bench::load_machine(machine_sel);
-  if (!machine_spec) return 2;
-  const sim::Machine machine = machine_spec->machine();
+  const sim::Machine machine = h.spec().machine();
 
-  sim::CounterRegistry registry;
   sim::ProbeOptions probe_options = w->probe_options;
-  if (!counters_path.empty()) probe_options.counters = &registry;
+  probe_options.counters = counters;
 
   sim::LatencyProbe probe = machine.probe(probe_options);
   trace::ChunkedReplayer sink(probe);
-  w->emit(machine, static_cast<std::uint64_t>(*accesses), sink);
+  w->emit(machine, accesses, sink);
   sink.flush();
-  return report("run", machine_sel, w->name, "", sink.stats(), sink.marks(),
-                probe.now_ns(), counters_path.empty() ? nullptr : &registry,
-                counters_path, json_path);
+  return h.finish(report("run", h.selector(), w->name, "", sink.stats(),
+                         sink.marks(), probe.now_ns(), json_path));
 }
 
-int cmd_info(common::ArgParser& args) {
-  const std::string in = args.get_string("in", "", "trace file to inspect");
+int cmd_info(bench::Harness& h) {
+  const std::string in = h.text("in", "", "trace file to inspect");
   const std::string json_path =
-      args.get_string("json", "", "machine-readable output file");
-  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+      h.text("json", "", "machine-readable output file");
+  if (auto exit_code = h.start("", "")) return *exit_code;
   if (in.empty()) {
     std::fputs("error: --in is required\n", stderr);
     return 2;
@@ -277,29 +249,23 @@ int cmd_info(common::ArgParser& args) {
     std::printf("chunks: %" PRIu64 " (%u records/chunk)\n",
                 reader.chunk_count(), reader.chunk_records());
     std::printf("file_bytes: %" PRIu64 "\n", reader.file_bytes());
-    if (!json_path.empty()) {
-      std::FILE* f = std::fopen(json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::fprintf(f,
-                   "{\n"
-                   "  \"tool\": \"p8trace\",\n"
-                   "  \"mode\": \"info\",\n"
-                   "  \"trace\": \"%s\",\n"
-                   "  \"version\": %u,\n"
-                   "  \"records\": %" PRIu64 ",\n"
-                   "  \"accesses\": %" PRIu64 ",\n"
-                   "  \"chunks\": %" PRIu64 ",\n"
-                   "  \"chunk_records\": %u,\n"
-                   "  \"file_bytes\": %" PRIu64 "\n"
-                   "}\n",
-                   in.c_str(), trace::kVersion, reader.total_records(),
-                   reader.total_accesses(), reader.chunk_count(),
-                   reader.chunk_records(), reader.file_bytes());
-      std::fclose(f);
-    }
+    char json[1024];
+    std::snprintf(json, sizeof json,
+                  "{\n"
+                  "  \"tool\": \"p8trace\",\n"
+                  "  \"mode\": \"info\",\n"
+                  "  \"trace\": \"%s\",\n"
+                  "  \"version\": %u,\n"
+                  "  \"records\": %" PRIu64 ",\n"
+                  "  \"accesses\": %" PRIu64 ",\n"
+                  "  \"chunks\": %" PRIu64 ",\n"
+                  "  \"chunk_records\": %u,\n"
+                  "  \"file_bytes\": %" PRIu64 "\n"
+                  "}\n",
+                  in.c_str(), trace::kVersion, reader.total_records(),
+                  reader.total_accesses(), reader.chunk_count(),
+                  reader.chunk_records(), reader.file_bytes());
+    if (!bench::write_file(json_path, json)) return 1;
   } catch (const trace::TraceError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -450,13 +416,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   // `diff` is purely positional; every other subcommand hands the rest
-  // of the line to ArgParser.
+  // of the line to the bench harness's option parser.
   if (cmd == "diff") return cmd_diff(argc - 2, argv + 2);
-  common::ArgParser args(argc - 1, argv + 1);
-  if (cmd == "record") return cmd_record(args);
-  if (cmd == "replay") return cmd_replay(args);
-  if (cmd == "run") return cmd_run(args);
-  if (cmd == "info") return cmd_info(args);
+  bench::Harness h(argc - 1, argv + 1);
+  if (cmd == "record") return cmd_record(h);
+  if (cmd == "replay") return cmd_replay(h);
+  if (cmd == "run") return cmd_run(h);
+  if (cmd == "info") return cmd_info(h);
   std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
   usage(stderr);
   return 2;
