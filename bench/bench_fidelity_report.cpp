@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
   const std::string json_path =
       h.text("json", "", "write machine-readable results here");
   const double perturb =
-      h.number("perturb", 1.0, "scale read_link_eff (gate self-test hook)");
+      h.number("perturb", 1.0, 0.01, 10.0,
+               "scale read_link_eff (gate self-test hook)");
   sim::CounterRegistry* const dump = h.counters("fidelity");
 
   // The gate checks the paper's measured E870, so the machine is pinned

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace p8;
   bench::Harness h(argc, argv);
   const double size_factor =
-      h.number("size-factor", 1.0, "matrix dimension scale");
+      h.number("size-factor", 1.0, 0.01, 16.0, "matrix dimension scale");
   h.select_machine();
   if (auto exit_code = h.start("Figure 11 (model-predicted)",
                                "E870 CSR SpMV prediction per suite matrix"))

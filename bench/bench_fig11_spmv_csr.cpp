@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace p8;
   bench::Harness h(argc, argv);
   const double size_factor =
-      h.number("size-factor", 1.0, "matrix dimension scale");
+      h.number("size-factor", 1.0, 0.01, 16.0, "matrix dimension scale");
   const auto reps = static_cast<int>(
       h.integer("reps", 5, 1, 1000, "timed SpMV repetitions per matrix"));
   const std::size_t threads = h.threads();

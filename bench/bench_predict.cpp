@@ -343,9 +343,8 @@ int main(int argc, char** argv) {
   const bool gate = h.flag(
       "gate", "exit 1 unless every tolerance, router and speedup gate holds");
   const double perturb = h.number(
-      "perturb", 1.0,
+      "perturb", 1.0, 0.01, 100.0,
       "scale the predictor's local DRAM latency (gate self-test)");
-  if (perturb <= 0.0) h.reject("--perturb must be positive");
   const std::size_t threads = h.threads();
   if (auto exit_code = h.start(
           "Predictor differential",

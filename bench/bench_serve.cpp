@@ -378,7 +378,7 @@ int main(int argc, char** argv) {
   const auto clients = static_cast<int>(
       h.integer("clients", 4, 1, 64, "concurrent client connections"));
   const double perturb = h.number(
-      "perturb", 0.0,
+      "perturb", 0.0, -1e6, 1e6,
       "skew every cached value by this much (gate self-test)");
   const std::size_t threads = h.threads();
   if (auto exit_code = h.start("Serving gate",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace p8;
   bench::Harness h(argc, argv);
   const double tol =
-      h.number("screen-tol", 1e-10, "Schwarz screening tolerance");
+      h.number("screen-tol", 1e-10, 0.0, 1.0, "Schwarz screening tolerance");
   const std::size_t threads = h.threads();
   if (auto exit_code = h.start("Table V",
                                "test molecular systems (host-scaled)"))

@@ -13,7 +13,10 @@ int main(int argc, char** argv) {
   using namespace p8;
   bench::Harness h(argc, argv);
   const std::size_t threads = h.threads();
-  const double size = h.number("size-factor", 1.0, "molecule scale");
+  // Each molecule's size is an int(k * size) with k >= 2, so 0.5 is the
+  // smallest factor that still builds every molecule.
+  const double size =
+      h.number("size-factor", 1.0, 0.5, 16.0, "molecule scale");
   if (auto exit_code = h.start("Table VI",
                                "HF-Comp vs HF-Mem timings (seconds)"))
     return *exit_code;

@@ -16,6 +16,7 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
 #include "sim/audit.hpp"
@@ -101,9 +102,15 @@ class Harness {
                    const std::string& help) {
     return args_.get_string(name, std::move(def), help);
   }
-  double number(const std::string& name, double def,
+  double number(const std::string& name, double def, double lo, double hi,
                 const std::string& help) {
-    return checked(def, [&] { return args_.get_double(name, def, help); });
+    const double raw =
+        checked(def, [&] { return args_.get_double(name, def, help); });
+    if (raw >= lo && raw <= hi) return raw;
+    reject("--" + name + " must be between " + common::json_number(lo) +
+           " and " + common::json_number(hi) + ", got " +
+           common::json_number(raw));
+    return def;
   }
   bool flag(const std::string& name, const std::string& help) {
     return checked(false, [&] { return args_.get_flag(name, help); });
@@ -155,18 +162,20 @@ class Harness {
 
   // ---- The machine: a bench picks one of these, or none.
 
-  /// `--machine`: start() loads the selected spec; spec() afterwards.
-  /// For benches that read the configuration but simulate nothing.
+  /// `--machine` and `--no-audit`: start() loads the selected spec and
+  /// gates it on its model audit; spec() afterwards.  For benches that
+  /// read the configuration but simulate nothing — a spec file that
+  /// leaves members out reads as zero there, not as the e870.
   void select_spec() {
     select_ = Select::kSpec;
     selector_ = args_.get_string("machine", "e870", machine_help());
+    declare_no_audit();
   }
   /// `--machine` and `--no-audit`: start() loads the spec, builds the
   /// machine and gates it on its model audit; machine() afterwards.
   void select_machine() {
     select_spec();
     select_ = Select::kMachine;
-    declare_no_audit();
   }
   /// `--machines` and `--no-audit`: start() loads every listed spec and
   /// gates each one; machines() afterwards, in list order.
@@ -298,7 +307,7 @@ class Harness {
         return true;
       case Select::kSpec:
         spec_ = sim::load_machine_spec(selector_);
-        return true;
+        return admit(spec_->audit());
       case Select::kMachine:
         spec_ = sim::load_machine_spec(selector_);
         machine_.emplace(spec_->machine());

@@ -224,11 +224,15 @@ cmake --build build-asan -j --target sim_counters_test sweep_test trace_test \
 # P8_INVARIANT active — proves the hot-path invariants hold on real
 # sweep workloads, not just that they compile.  The property suite runs
 # here too: "audit-clean implies simulates without tripping a contract"
-# only means something with the contracts armed.
+# only means something with the contracts armed, and so does the cache
+# oracle: its random operation sequences drive every recency-word and
+# recorded-slot invariant.
 cmake -B build-contracts -S . -DCMAKE_BUILD_TYPE=Debug -DP8_CONTRACTS=ON
 cmake --build build-contracts -j --target sweep_test contracts_test \
-  sim_audit_test sim_property_test machine_predict_test serve_test
+  sim_audit_test sim_property_test machine_predict_test serve_test \
+  sim_cache_oracle_test
 ./build-contracts/tests/sweep_test
+./build-contracts/tests/sim_cache_oracle_test
 ./build-contracts/tests/contracts_test
 ./build-contracts/tests/sim_audit_test
 ./build-contracts/tests/sim_property_test

@@ -1,7 +1,7 @@
 // Huge-page-backed allocator for large, randomly-indexed arrays.
 //
-// The simulator's big metadata arrays (the victim-pool and L4 tag/LRU
-// vectors are tens of megabytes) are probed at cache-set granularity
+// The simulator's big metadata arrays (the victim-pool and L4 tag rows
+// are megabytes to tens of megabytes) are probed at cache-set granularity
 // in data-dependent order.  On 4 KiB host pages that sprays thousands
 // of pages and turns every probe into a likely host-dTLB miss — which
 // also silently drops the __builtin_prefetch hints the hot path issues

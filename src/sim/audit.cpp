@@ -25,9 +25,10 @@ bool pow2(std::uint64_t v) { return v != 0 && std::has_single_bit(v); }
 void check_level_geometry(AuditReport& report, const char* level,
                           std::uint64_t capacity, unsigned ways,
                           std::uint64_t line_bytes, bool want_pow2_sets) {
-  if (ways < 1) {
+  if (ways < 1 || ways > SetAssocCache::kMaxWays) {
     report.add(AuditSeverity::kError, "hierarchy.geometry",
-               fmt("%s has %u ways; a cache needs at least one", level, ways));
+               fmt("%s has %u ways; a cache has 1..%u", level, ways,
+                   SetAssocCache::kMaxWays));
     return;
   }
   if (line_bytes == 0) return;  // reported by hierarchy.line-size
@@ -141,6 +142,10 @@ AuditReport ModelAudit::tlb(const TlbConfig& c) {
   if (c.erat_entries < 1 || c.tlb_entries < 1 || c.tlb_ways < 1)
     report.add(AuditSeverity::kError, "tlb.geometry",
                "translation structures need at least one entry and one way");
+  else if (c.tlb_ways > SetAssocCache::kMaxWays)
+    report.add(AuditSeverity::kError, "tlb.geometry",
+               fmt("TLB has %u ways; a set-associative TLB has 1..%u",
+                   c.tlb_ways, SetAssocCache::kMaxWays));
   else if (c.tlb_entries % c.tlb_ways != 0)
     report.add(AuditSeverity::kError, "tlb.geometry",
                fmt("TLB entry count %u is not a whole number of %u-way sets",

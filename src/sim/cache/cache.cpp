@@ -8,31 +8,11 @@
 
 namespace p8::sim {
 
-namespace {
-
-/// Every valid way in a set must carry a distinct LRU stamp — two equal
-/// stamps would make the replacement victim depend on scan order rather
-/// than recency, silently breaking true-LRU.  Quadratic in ways, so
-/// only ever called from contract checks.
-template <typename Entries>
-bool lru_stamps_distinct(const Entries& entries, std::uint64_t base,
-                         unsigned ways, std::uint64_t valid_bit) {
-  for (unsigned a = 0; a < ways; ++a) {
-    if (!(entries[base + a].meta & valid_bit)) continue;
-    for (unsigned b = a + 1; b < ways; ++b) {
-      if (!(entries[base + b].meta & valid_bit)) continue;
-      if (entries[base + a].lru == entries[base + b].lru) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes, unsigned ways,
                              std::uint64_t line_bytes)
     : capacity_(capacity_bytes), ways_(ways), line_bytes_(line_bytes) {
-  P8_REQUIRE(ways_ >= 1, "cache needs at least one way");
+  P8_REQUIRE(ways_ >= 1 && ways_ <= kMaxWays,
+             "a cache has 1..16 ways (the recency word holds 16 way numbers)");
   P8_REQUIRE(line_bytes_ > 0 && std::has_single_bit(line_bytes_),
              "line size must be a power of two");
   P8_REQUIRE(capacity_ % (static_cast<std::uint64_t>(ways_) * line_bytes_) == 0,
@@ -52,53 +32,68 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes, unsigned ways,
     inv_sets_ = ~std::uint64_t{0} / sets_ + 1;
     div_safe_ = (~std::uint64_t{0} / sets_) >> 1;
   }
-  entries_.resize(sets_ * ways_);
+  stride_ = ways_ + 1;
+  lru_shift_ = 4 * (ways_ - 1);
+  rows_.resize(sets_ * stride_);
   P8_ENSURE(sets_ * ways_ * line_bytes_ == capacity_,
             "derived geometry must tile the capacity exactly");
-  P8_ENSURE(entries_.size() == sets_ * ways_,
-            "entry array must cover every (set, way) pair");
+  P8_ENSURE(rows_.size() == sets_ * stride_,
+            "the row array must hold a recency word and every way of every "
+            "set");
   P8_ENSURE(resident_lines() == 0, "a fresh cache must be empty");
+  P8_ENSURE(order_is_permutation(rows_[0]),
+            "a zeroed recency word must decode to a full way order");
 }
 
-std::uint64_t SetAssocCache::scan_set(std::uint64_t base, std::uint64_t want,
-                                      std::uint64_t& victim,
-                                      bool& victim_invalid) const {
-  std::uint64_t invalid = kNoEntry;
-  std::uint64_t oldest = base;
-  // Tracking the running minimum in a register (seeded with way 0,
-  // which never beats itself) instead of re-reading the victim's LRU
-  // reproduces the historical rescanning code exactly: invalid ways
-  // never enter the minimum fold, and whenever the minimum matters —
-  // no invalid way exists — way 0 is valid and a legitimate seed.
-  std::uint64_t min_lru = entries_[base].lru;
+bool SetAssocCache::order_is_permutation(std::uint64_t stored) const {
+  const std::uint64_t order = stored ^ kIdentity;
+  std::uint32_t seen = 0;
+  for (unsigned p = 0; p < ways_; ++p)
+    seen |= std::uint32_t{1} << ((order >> (4 * p)) & 0xF);
+  return seen == (std::uint32_t{1} << ways_) - 1;
+}
+
+unsigned SetAssocCache::scan_set(const std::uint64_t* r, std::uint64_t want,
+                                 unsigned& victim,
+                                 bool& victim_invalid) const {
+  // Collect the invalid ways as a bit mask instead of branching on the
+  // first one: the lowest set bit is the first invalid way.
+  std::uint32_t invalid = 0;
   for (unsigned w = 0; w < ways_; ++w) {
-    const std::uint64_t e = base + w;
-    const std::uint64_t m = entries_[e].meta;
-    if ((m & ~kDirty) == want) return e;
-    const std::uint64_t l = entries_[e].lru;
-    const bool inv = !(m & kValid);
-    invalid = (inv && invalid == kNoEntry) ? e : invalid;
-    const bool older = !inv && l < min_lru;
-    min_lru = older ? l : min_lru;
-    oldest = older ? e : oldest;
+    const std::uint64_t m = r[1 + w];
+    if ((m & ~kDirty) == want) return w;
+    invalid |= static_cast<std::uint32_t>(~m & kValid) << w;
   }
-  victim_invalid = invalid != kNoEntry;
-  victim = victim_invalid ? invalid : oldest;
-  return kNoEntry;
+  victim_invalid = invalid != 0;
+  victim = victim_invalid ? static_cast<unsigned>(std::countr_zero(invalid))
+                          : lru_way(r[0]);
+  return kNoWay;
+}
+
+std::optional<SetAssocCache::Eviction> SetAssocCache::claim(
+    std::uint64_t set, std::uint64_t* r, unsigned w, std::uint64_t meta) {
+  const std::uint64_t old = r[1 + w];
+  r[1 + w] = meta;
+  promote(r, w);
+  P8_ENSURE(order_is_permutation(r[0]),
+            "the recency word must stay a permutation of the set's ways");
+  if (!(old & kValid)) return std::nullopt;
+  return Eviction{line_addr(set, tag_bits(old)), (old & kDirty) != 0};
 }
 
 bool SetAssocCache::touch_install(std::uint64_t addr) {
   std::uint64_t set, tag;
   split(addr, set, tag);
+  std::uint64_t* const r = row(set);
   const std::uint64_t want = meta_of(tag, kValid);
-  std::uint64_t victim = kNoEntry;
+  unsigned victim = 0;
   bool victim_invalid = false;
-  const std::uint64_t e = scan_set(set * ways_, want, victim, victim_invalid);
-  if (e != kNoEntry) {
-    entries_[e].lru = ++clock_;
+  const unsigned w = scan_set(r, want, victim, victim_invalid);
+  if (w != kNoWay) {
+    promote(r, w);
     return true;
   }
-  entries_[victim] = {want, ++clock_};
+  claim(set, r, victim, want);
   P8_ENSURE(probe(addr), "touch_install must leave the line resident");
   return false;
 }
@@ -106,52 +101,48 @@ bool SetAssocCache::touch_install(std::uint64_t addr) {
 bool SetAssocCache::touch_slot(std::uint64_t addr, Slot& slot) {
   std::uint64_t set, tag;
   split(addr, set, tag);
-  const std::uint64_t want = meta_of(tag, kValid);
-  std::uint64_t victim = kNoEntry;
+  std::uint64_t* const r = row(set);
+  unsigned victim = 0;
   bool victim_invalid = false;
-  const std::uint64_t e = scan_set(set * ways_, want, victim, victim_invalid);
-  if (e != kNoEntry) {
-    entries_[e].lru = ++clock_;
+  const unsigned w = scan_set(r, meta_of(tag, kValid), victim, victim_invalid);
+  if (w != kNoWay) {
+    promote(r, w);
     return true;
   }
-  slot.entry = victim;
   slot.set = set;
+  slot.way = victim;
   slot.invalid_way = victim_invalid;
   slot.recorded = true;
-  P8_ENSURE(slot.entry >= slot.set * ways_ &&
-                slot.entry < (slot.set + 1) * ways_,
-            "recorded victim way must lie inside the recorded set");
+  P8_ENSURE(slot.way < ways_, "recorded victim way must lie inside the set");
   return false;
 }
 
 std::optional<SetAssocCache::Eviction> SetAssocCache::install_line_at(
     const Slot& slot, std::uint64_t addr, bool dirty) {
+  std::uint64_t set, tag;
+  split(addr, set, tag);
+  std::uint64_t* const r = row(set);
   P8_INVARIANT(slot.recorded,
                "install_line_at needs a slot recorded by a touch_slot miss");
-  P8_INVARIANT(slot.set == set_of(addr),
+  P8_INVARIANT(slot.set == set,
                "slot was recorded for a different set than addr maps to");
   P8_INVARIANT(!probe(addr),
                "line resident at install_line_at: the recorded scan is stale");
-  P8_INVARIANT(slot.invalid_way == !(entries_[slot.entry].meta & kValid),
+  P8_INVARIANT(slot.invalid_way == !(r[1 + slot.way] & kValid),
                "slot victim validity changed since it was recorded");
-  const std::uint64_t e = slot.entry;
-  std::optional<Eviction> evicted;
-  if (!slot.invalid_way)
-    evicted = Eviction{line_addr(slot.set, tag_bits(entries_[e].meta)),
-                       (entries_[e].meta & kDirty) != 0};
-  entries_[e] = {meta_of(tag_of(addr), kValid | (dirty ? kDirty : 0)),
-                 ++clock_};
+  P8_INVARIANT(slot.invalid_way || slot.way == lru_way(r[0]),
+               "slot victim is no longer the set's LRU way");
+  const auto evicted =
+      claim(set, r, slot.way, meta_of(tag, kValid | (dirty ? kDirty : 0)));
   P8_ENSURE(probe(addr), "install_line_at must leave the line resident");
-  P8_ENSURE(lru_stamps_distinct(entries_, slot.set * ways_, ways_, kValid),
-            "LRU stamps must stay distinct within the installed set");
   return evicted;
 }
 
 std::optional<bool> SetAssocCache::take(std::uint64_t addr) {
-  const std::uint64_t e = find_way(addr);
-  if (e == kNoEntry) return std::nullopt;
-  const bool dirty = (entries_[e].meta & kDirty) != 0;
-  entries_[e].meta = 0;
+  std::uint64_t* const word = find_word(addr);
+  if (word == nullptr) return std::nullopt;
+  const bool dirty = (*word & kDirty) != 0;
+  *word = 0;
   P8_ENSURE(!probe(addr), "take must remove the line it returned");
   return dirty;
 }
@@ -171,57 +162,54 @@ std::optional<SetAssocCache::Eviction> SetAssocCache::install_line(
     std::uint64_t addr, bool dirty) {
   std::uint64_t set, tag;
   split(addr, set, tag);
+  std::uint64_t* const r = row(set);
   const std::uint64_t want = meta_of(tag, kValid);
-  std::uint64_t victim = kNoEntry;
+  unsigned victim = 0;
   bool victim_invalid = false;
   // Reuse an existing entry (refresh), then an invalid way, then LRU.
-  const std::uint64_t e = scan_set(set * ways_, want, victim, victim_invalid);
-  if (e != kNoEntry) {
-    entries_[e].lru = ++clock_;
-    if (dirty) entries_[e].meta |= kDirty;
+  const unsigned w = scan_set(r, want, victim, victim_invalid);
+  if (w != kNoWay) {
+    promote(r, w);
+    if (dirty) r[1 + w] |= kDirty;
     return std::nullopt;
   }
-  std::optional<Eviction> evicted;
-  if (!victim_invalid)
-    evicted = Eviction{line_addr(set, tag_bits(entries_[victim].meta)),
-                       (entries_[victim].meta & kDirty) != 0};
-  entries_[victim] = {want | (dirty ? kDirty : 0), ++clock_};
+  const auto evicted = claim(set, r, victim, want | (dirty ? kDirty : 0));
   P8_ENSURE(probe(addr), "install_line must leave the line resident");
   P8_ENSURE(!evicted || evicted->line != (addr >> line_shift_ << line_shift_),
             "install_line must never report the installed line as evicted");
-  P8_ENSURE(lru_stamps_distinct(entries_, set * ways_, ways_, kValid),
-            "LRU stamps must stay distinct within the installed set");
   return evicted;
 }
 
 bool SetAssocCache::mark_dirty(std::uint64_t addr) {
-  const std::uint64_t e = find_way(addr);
-  if (e == kNoEntry) return false;
-  entries_[e].meta |= kDirty;
+  std::uint64_t* const word = find_word(addr);
+  if (word == nullptr) return false;
+  *word |= kDirty;
   return true;
 }
 
 bool SetAssocCache::is_dirty(std::uint64_t addr) const {
-  const std::uint64_t e = find_way(addr);
-  return e != kNoEntry && (entries_[e].meta & kDirty) != 0;
+  const std::uint64_t* const word = find_word(addr);
+  return word != nullptr && (*word & kDirty) != 0;
 }
 
 bool SetAssocCache::invalidate(std::uint64_t addr) {
-  const std::uint64_t e = find_way(addr);
-  if (e == kNoEntry) return false;
-  entries_[e].meta = 0;
+  std::uint64_t* const word = find_word(addr);
+  if (word == nullptr) return false;
+  *word = 0;
   return true;
 }
 
 void SetAssocCache::clear() {
-  std::fill(entries_.begin(), entries_.end(), Entry{});
-  clock_ = 0;
+  std::fill(rows_.begin(), rows_.end(), 0);
   P8_ENSURE(resident_lines() == 0, "clear must leave no resident lines");
 }
 
 std::uint64_t SetAssocCache::resident_lines() const {
   std::uint64_t n = 0;
-  for (const auto& e : entries_) n += e.meta & kValid;
+  for (std::uint64_t set = 0; set < sets_; ++set) {
+    const std::uint64_t* const r = row(set);
+    for (unsigned w = 0; w < ways_; ++w) n += r[1 + w] & kValid;
+  }
   return n;
 }
 

@@ -7,15 +7,62 @@
 
 namespace p8::sim {
 
-namespace {
-
-// The ERAT/TLB are modelled as caches over page-granular "lines":
-// capacity = entries * page_bytes with full associativity for the ERAT.
-SetAssocCache make_erat(const TlbConfig& c) {
-  return SetAssocCache(static_cast<std::uint64_t>(c.erat_entries) * c.page_bytes,
-                       c.erat_entries, c.page_bytes);
+Erat::Erat(unsigned entries)
+    // At most half full, so a miss's lookup, erase and insert each
+    // probe a bucket or two (near the default 7/8 ceiling an
+    // unsuccessful linear probe averages several buckets).
+    : nodes_(entries), index_(2 * std::size_t{entries}) {
+  P8_REQUIRE(entries >= 1, "the ERAT needs at least one entry");
 }
 
+void Erat::unlink(std::uint32_t n) {
+  Node& node = nodes_[n];
+  (node.prev == kNone ? head_ : nodes_[node.prev].next) = node.next;
+  (node.next == kNone ? tail_ : nodes_[node.next].prev) = node.prev;
+}
+
+void Erat::push_front(std::uint32_t n) {
+  nodes_[n].prev = kNone;
+  nodes_[n].next = head_;
+  (head_ == kNone ? tail_ : nodes_[head_].prev) = n;
+  head_ = n;
+}
+
+bool Erat::touch_install(std::uint64_t page) {
+  std::uint32_t n = kNone;
+  if (const std::uint32_t* const hit = index_.find(page)) {
+    n = *hit;
+    if (n != head_) {
+      unlink(n);
+      push_front(n);
+    }
+    return true;
+  }
+  if (used_ < nodes_.size()) {
+    n = used_++;
+  } else {
+    n = tail_;
+    unlink(n);
+    index_.erase(nodes_[n].page);
+  }
+  nodes_[n].page = page;
+  index_.insert(page, n);
+  push_front(n);
+  P8_ENSURE(head_ == n && index_.size() == used_,
+            "an installed page must be resident at MRU");
+  return false;
+}
+
+void Erat::clear() {
+  index_.clear();
+  head_ = tail_ = kNone;
+  used_ = 0;
+}
+
+namespace {
+
+// The second-level TLB is modelled as a cache over page-granular
+// "lines": capacity = entries * page_bytes.
 SetAssocCache make_tlb(const TlbConfig& c) {
   return SetAssocCache(static_cast<std::uint64_t>(c.tlb_entries) * c.page_bytes,
                        c.tlb_ways, c.page_bytes);
@@ -24,19 +71,15 @@ SetAssocCache make_tlb(const TlbConfig& c) {
 }  // namespace
 
 Tlb::Tlb(const TlbConfig& config)
-    : config_(config), erat_(make_erat(config)), tlb_(make_tlb(config)) {
-  P8_REQUIRE(config.erat_entries >= 1 && config.tlb_entries >= 1,
+    : config_(config), erat_(config.erat_entries), tlb_(make_tlb(config)) {
+  P8_REQUIRE(config.tlb_entries >= 1,
              "translation structures need at least one entry");
   P8_REQUIRE(config.tlb_entries % config.tlb_ways == 0,
              "TLB entries must be a whole number of sets");
-  // page_bytes is a power of two (the ERAT constructor enforced it).
+  // page_bytes is a power of two (the TLB constructor enforced it).
   page_shift_ = static_cast<unsigned>(std::countr_zero(config.page_bytes));
-  P8_ENSURE(erat_.ways() == config.erat_entries,
-            "ERAT must be fully associative: one set spanning every entry");
-  P8_ENSURE(erat_.capacity_bytes() ==
-                static_cast<std::uint64_t>(config.erat_entries) *
-                    config.page_bytes,
-            "ERAT reach must be entries * page size");
+  P8_ENSURE(erat_.entries() == config.erat_entries,
+            "the ERAT must hold every configured entry");
   P8_ENSURE(tlb_.sets() * tlb_.ways() == config.tlb_entries,
             "TLB geometry must account for every configured entry");
 }
@@ -44,28 +87,28 @@ Tlb::Tlb(const TlbConfig& config)
 TlbOutcome Tlb::translate(std::uint64_t addr) {
   const std::uint64_t page = addr >> page_shift_;
   // Last-translation register: the previous access resolved this very
-  // page, so it is ERAT-resident and already MRU in its set — the
-  // touch would only re-promote it, which cannot change any future
-  // victim choice.  Skip the fully-associative scan outright.
+  // page, so it is ERAT-resident and already the ERAT's MRU entry —
+  // the touch would only re-promote it, which cannot change any future
+  // victim choice.  Skip the ERAT lookup outright.
   if (page == last_page_) {
     events_.erat_hit.add();
     return TlbOutcome::kEratHit;
   }
   last_page_ = page;
-  // Fused scan: hit promotes to MRU; miss installs over the invalid/
-  // LRU victim in the same pass (ERAT cast-outs have no downstream).
-  if (erat_.touch_install(addr)) {
+  // Hit promotes to MRU; a miss installs over the LRU entry in the
+  // same call (ERAT cast-outs have no downstream).
+  if (erat_.touch_install(page)) {
     events_.erat_hit.add();
     return TlbOutcome::kEratHit;
   }
   events_.erat_miss.add();
-  if (tlb_.touch(addr)) {
+  // One scan: a TLB hit promotes, a walk installs the page.
+  if (tlb_.touch_install(addr)) {
     events_.tlb_hit.add();
     return TlbOutcome::kTlbHit;
   }
   events_.walk.add();
-  tlb_.install(addr);
-  P8_ENSURE(erat_.probe(addr) && tlb_.probe(addr),
+  P8_ENSURE(erat_.contains(page) && tlb_.probe(addr),
             "a walk must leave the page resident in both ERAT and TLB");
   return TlbOutcome::kWalk;
 }
@@ -95,7 +138,7 @@ void Tlb::clear() {
   erat_.clear();
   tlb_.clear();
   last_page_ = ~std::uint64_t{0};
-  P8_ENSURE(erat_.resident_lines() == 0 && tlb_.resident_lines() == 0,
+  P8_ENSURE(erat_.size() == 0 && tlb_.resident_lines() == 0,
             "clear must empty both translation structures");
 }
 

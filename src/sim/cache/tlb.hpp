@@ -9,11 +9,14 @@
 // in the figure.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/cache/cache.hpp"
 #include "sim/counters.hpp"
+#include "sim/machine/inflight_table.hpp"
 
 namespace p8::sim {
 
@@ -24,6 +27,46 @@ struct TlbConfig {
   unsigned tlb_ways = 4;
   double erat_miss_ns = 4.0;    ///< ERAT miss that hits the TLB
   double walk_ns = 42.0;        ///< full page-table walk
+};
+
+/// The first-level ERAT: an exact fully associative LRU over page
+/// numbers.  A flat page -> entry hash index finds an entry, and an
+/// intrusive doubly linked list keeps the entries from MRU to LRU, so a
+/// hit's promotion and a miss's LRU eviction are both O(1) — a 48-way
+/// tag scan per lookup is not.
+class Erat {
+ public:
+  explicit Erat(unsigned entries);
+
+  unsigned entries() const { return static_cast<unsigned>(nodes_.size()); }
+  /// Pages currently resident.
+  std::size_t size() const { return used_; }
+
+  bool contains(std::uint64_t page) const { return index_.contains(page); }
+
+  /// Hit: promotes `page` to MRU and returns true.  Miss: installs it
+  /// at MRU — over the LRU entry once every entry is in use — and
+  /// returns false.
+  bool touch_install(std::uint64_t page);
+
+  void clear();
+
+ private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  struct Node {
+    std::uint64_t page = 0;
+    std::uint32_t prev = kNone;  ///< toward MRU
+    std::uint32_t next = kNone;  ///< toward LRU
+  };
+  void unlink(std::uint32_t n);
+  void push_front(std::uint32_t n);
+
+  std::vector<Node> nodes_;           ///< one per entry; [0, used_) in use
+  FlatLineMap<std::uint32_t> index_;  ///< resident page -> node
+  std::uint32_t head_ = kNone;        ///< MRU node
+  std::uint32_t tail_ = kNone;        ///< LRU node
+  std::uint32_t used_ = 0;
 };
 
 /// Result of translating one access.
@@ -40,8 +83,8 @@ class Tlb {
 
   /// True when `addr` lies on the page the previous translate()
   /// resolved — the last-translation register.  A hit here guarantees
-  /// the page is ERAT-resident *and* already the most recently used
-  /// entry of its set (nothing has touched the ERAT since), so the
+  /// the page is ERAT-resident *and* already the ERAT's most recently
+  /// used entry (nothing has touched the ERAT since), so the
   /// full translate — including its MRU re-promotion — can be skipped
   /// without changing any future replacement decision.  Callers that
   /// skip must report the elided ERAT hits via add_batched_erat_hits().
@@ -73,7 +116,7 @@ class Tlb {
 
  private:
   TlbConfig config_;
-  SetAssocCache erat_;
+  Erat erat_;
   SetAssocCache tlb_;
   unsigned page_shift_;  ///< log2(page_bytes): page extraction by shift
   /// Page number of the last translate(); ~0 = none (no page number

@@ -1,7 +1,8 @@
-// Flat open-addressed map from in-flight line address to completion
-// time — the MSHR bookkeeping of the latency probe.
+// Flat open-addressed map from a line address (or page number) to a
+// value: InflightTable, the line -> completion-time MSHR bookkeeping of
+// the latency probe, and the ERAT's page -> entry index (tlb.hpp).
 //
-// The probe consults this table on EVERY simulated access, so it is
+// The probe consults its table on EVERY simulated access, so it is
 // the single hottest lookup in the simulator.  An std::unordered_map
 // pays a pointer chase per bucket plus node allocation per prefetch;
 // this table keeps keys and values in two dense arrays with linear
@@ -9,8 +10,9 @@
 // a few dozen lines at most) resolves in one or two probes over one
 // cache line of keys.
 //
-// Keys are cache-line addresses — always line-aligned, so the all-ones
-// value can never be a real key and serves as the empty sentinel.
+// Keys are cache-line addresses — always line-aligned — or page
+// numbers, far below 2^64, so the all-ones value can never be a real
+// key and serves as the empty sentinel.
 #pragma once
 
 #include <algorithm>
@@ -23,9 +25,14 @@
 
 namespace p8::sim {
 
-class InflightTable {
+template <typename Value>
+class FlatLineMap {
  public:
-  InflightTable() { rehash(kInitialCapacity); }
+  /// Starts with room for `capacity` slots (rounded up to a power of
+  /// two); the table doubles whenever it would pass 7/8 full.
+  explicit FlatLineMap(std::size_t capacity = kInitialCapacity) {
+    rehash(std::bit_ceil(capacity));
+  }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -34,14 +41,14 @@ class InflightTable {
     return slot_of(line) != kNotFound;
   }
 
-  /// Pointer to the completion time for `line`, or nullptr.
-  const double* find(std::uint64_t line) const {
+  /// Pointer to the value for `line`, or nullptr.
+  const Value* find(std::uint64_t line) const {
     const std::size_t s = slot_of(line);
     return s == kNotFound ? nullptr : &value_[s];
   }
 
   /// Inserts or overwrites.
-  void insert(std::uint64_t line, double completion) {
+  void insert(std::uint64_t line, Value completion) {
     P8_INVARIANT(line != kEmpty,
                  "the all-ones line address is the empty sentinel and can "
                  "never be a real key (keys are line-aligned)");
@@ -72,11 +79,11 @@ class InflightTable {
               "erase must leave no reachable slot for the erased line");
   }
 
-  /// Removes the entry whose completion-time pointer `found` was just
-  /// returned by find() — the caller already paid for the lookup, so
-  /// the slot is recovered from the pointer instead of re-probing.
-  /// Valid only while no insert/erase/clear intervened.
-  void erase_found(const double* found) {
+  /// Removes the entry whose value pointer `found` was just returned
+  /// by find() — the caller already paid for the lookup, so the slot is
+  /// recovered from the pointer instead of re-probing.  Valid only
+  /// while no insert/erase/clear intervened.
+  void erase_found(const Value* found) {
     const auto hole = static_cast<std::size_t>(found - value_.data());
     P8_INVARIANT(hole < key_.size() && key_[hole] != kEmpty,
                  "erase_found requires a live pointer from find()");
@@ -130,9 +137,9 @@ class InflightTable {
                  "capacity must stay a power of two: probing wraps with a "
                  "mask, not a modulo");
     std::vector<std::uint64_t> old_key = std::move(key_);
-    std::vector<double> old_value = std::move(value_);
+    std::vector<Value> old_value = std::move(value_);
     key_.assign(capacity, kEmpty);
-    value_.assign(capacity, 0.0);
+    value_.assign(capacity, Value{});
     mask_ = capacity - 1;
     shift_ = 64;
     while ((std::size_t{1} << (64 - shift_)) < capacity) --shift_;
@@ -142,10 +149,12 @@ class InflightTable {
   }
 
   std::vector<std::uint64_t> key_;
-  std::vector<double> value_;
+  std::vector<Value> value_;
   std::size_t mask_ = 0;
   unsigned shift_ = 64;
   std::size_t size_ = 0;
 };
+
+using InflightTable = FlatLineMap<double>;
 
 }  // namespace p8::sim

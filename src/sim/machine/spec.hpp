@@ -43,10 +43,12 @@ struct MachineSpec {
   std::string to_json() const;
 
   /// Parses a spec saved by to_json() (or hand-written to the same
-  /// schema, docs/MODEL.md).  Missing members keep their defaults;
-  /// unknown members and type mismatches throw std::invalid_argument
-  /// with the offending path — a typo in a hand-edited file must fail
-  /// loudly, not silently simulate the default.
+  /// schema, docs/MODEL.md).  Missing members take the schema's
+  /// built-in defaults — zero for the machine shape, not the e870, so
+  /// a partial file fails its audit; unknown members and type
+  /// mismatches throw std::invalid_argument with the offending path — a
+  /// typo in a hand-edited file must fail loudly, not silently
+  /// simulate the default.
   static MachineSpec from_json(const std::string& text);
 
   /// The ModelAudit verdict on this configuration (what Machine

@@ -332,7 +332,9 @@ TEST(HierarchyLandmarks, CoversEveryLevelOfTheE870MidPlateau) {
   const char* levels[] = {"L1", "L2", "L3", "chip-L3", "L4", "DRAM"};
   for (std::size_t i = 0; i < landmarks.size(); ++i) {
     EXPECT_STREQ(landmarks[i].level, levels[i]);
-    if (i > 0) EXPECT_GT(landmarks[i].bytes, landmarks[i - 1].bytes);
+    if (i > 0) {
+      EXPECT_GT(landmarks[i].bytes, landmarks[i - 1].bytes);
+    }
   }
   // Each landmark sits strictly inside its plateau: L1's is half the
   // L1, L2's between the L1 and L2 capacities, and so on.

@@ -131,7 +131,9 @@ TEST(LintLexer, LineCommentSpliceContinuesOntoNextLine) {
   ASSERT_NE(comment, nullptr);
   EXPECT_NE(comment->text.find("hidden"), std::string::npos);
   for (const Token& t : tokens)
-    if (t.kind == Tok::kIdentifier) EXPECT_NE(t.text, "hidden");
+    if (t.kind == Tok::kIdentifier) {
+      EXPECT_NE(t.text, "hidden");
+    }
 }
 
 TEST(LintLexer, PreprocessorSpliceIsOneDirectiveToken) {
@@ -229,7 +231,9 @@ TEST(LintLexer, IfZeroTracksNestedConditionals) {
   ASSERT_NE(disabled, nullptr);
   EXPECT_NE(disabled->text.find("also_dead"), std::string::npos);
   for (const Token& t : tokens)
-    if (t.kind == Tok::kIdentifier) EXPECT_NE(t.text, "also_dead");
+    if (t.kind == Tok::kIdentifier) {
+      EXPECT_NE(t.text, "also_dead");
+    }
 }
 
 TEST(LintLexer, IfZeroStopsAtElseSoTheLiveBranchIsCode) {

@@ -106,6 +106,22 @@ TEST(ModelAudit, RejectsRaggedTlbSets) {
   EXPECT_TRUE(report.has("tlb.geometry")) << report.to_string();
 }
 
+TEST(ModelAudit, RejectsMoreWaysThanTheRecencyWordHolds) {
+  // Set-associative levels keep their LRU order as 16 four-bit way
+  // numbers, so 17 ways cannot be simulated.
+  HierarchyConfig h = e870_hierarchy();
+  h.l2_ways = 32;
+  h.l2_bytes = 1024 * 1024;  // 256 sets of 32 x 128 B: tiles exactly
+  const AuditReport hierarchy = ModelAudit::hierarchy(h);
+  EXPECT_TRUE(hierarchy.has("hierarchy.geometry")) << hierarchy.to_string();
+  TlbConfig t;
+  t.tlb_ways = 32;  // 2048 / 32 = 64 sets: a power of two
+  const AuditReport tlb = ModelAudit::tlb(t);
+  EXPECT_TRUE(tlb.has("tlb.geometry")) << tlb.to_string();
+  t.tlb_ways = 16;
+  EXPECT_TRUE(ModelAudit::tlb(t).ok()) << ModelAudit::tlb(t).to_string();
+}
+
 TEST(ModelAudit, RejectsOutOfRangeDscr) {
   PrefetchConfig c;
   c.dscr = 9;

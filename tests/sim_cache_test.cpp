@@ -93,6 +93,9 @@ TEST(Cache, CapacityGeometryValidation) {
   EXPECT_THROW(SetAssocCache(100, 2, 64), std::invalid_argument);
   EXPECT_THROW(SetAssocCache(kib(1), 2, 60), std::invalid_argument);
   EXPECT_THROW(SetAssocCache(kib(1), 0, 64), std::invalid_argument);
+  // The recency word holds 16 way numbers: 17 ways are refused.
+  EXPECT_THROW(SetAssocCache(17 * 64, 17, 64), std::invalid_argument);
+  EXPECT_NO_THROW(SetAssocCache(16 * 64, 16, 64));
 }
 
 class CacheGeometry
@@ -115,7 +118,9 @@ TEST_P(CacheGeometry, WorkingSetTwiceCapacityAlwaysMissesCyclically) {
   for (int pass = 0; pass < 2; ++pass)
     for (std::uint64_t i = 0; i < lines; ++i) {
       const bool hit = c.access(i * 128).hit;
-      if (pass == 1) EXPECT_FALSE(hit) << "line " << i;
+      if (pass == 1) {
+        EXPECT_FALSE(hit) << "line " << i;
+      }
     }
 }
 
@@ -148,7 +153,9 @@ TEST(Tlb, EratReachIs3MB) {
   for (int pass = 0; pass < 3; ++pass)
     for (std::uint64_t p = 0; p < 47; ++p) {
       const auto out = tlb.translate(p * page);
-      if (pass > 0) EXPECT_EQ(out, TlbOutcome::kEratHit);
+      if (pass > 0) {
+        EXPECT_EQ(out, TlbOutcome::kEratHit);
+      }
     }
   Tlb tlb2(cfg);
   int erat_hits = 0;
@@ -171,7 +178,9 @@ TEST(Tlb, HugePagesExtendReach) {
   for (int pass = 0; pass < 2; ++pass)
     for (std::uint64_t p = 0; p < 7; ++p) {
       const auto out = tlb.translate(p * cfg.page_bytes);
-      if (pass == 1) EXPECT_EQ(out, TlbOutcome::kEratHit);
+      if (pass == 1) {
+        EXPECT_EQ(out, TlbOutcome::kEratHit);
+      }
     }
 }
 
@@ -433,7 +442,9 @@ TEST(CacheFuzz, RandomOpsPreserveInvariants) {
       case 1: {
         const auto ev = cache.install_line(addr, rng.bounded(2) == 0);
         resident.insert(addr);
-        if (ev) EXPECT_EQ(resident.erase(ev->line), 1u);
+        if (ev) {
+          EXPECT_EQ(resident.erase(ev->line), 1u);
+        }
         break;
       }
       case 2: {
@@ -444,7 +455,9 @@ TEST(CacheFuzz, RandomOpsPreserveInvariants) {
       default: {
         const bool found = cache.mark_dirty(addr);
         EXPECT_EQ(found, resident.count(addr) > 0);
-        if (found) EXPECT_TRUE(cache.is_dirty(addr));
+        if (found) {
+          EXPECT_TRUE(cache.is_dirty(addr));
+        }
         break;
       }
     }

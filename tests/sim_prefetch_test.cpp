@@ -222,8 +222,9 @@ TEST_P(PrefetchDepthSweep, HighWaterNeverExceedsDepth) {
     for (const auto& r :
          e.on_access(static_cast<std::uint64_t>(i) * kLine))
       furthest = std::max(furthest, r.line_addr / kLine);
-    if (furthest > 0)
+    if (furthest > 0) {
       EXPECT_LE(furthest, static_cast<std::uint64_t>(i + depth));
+    }
   }
 }
 

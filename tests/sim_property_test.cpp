@@ -73,7 +73,9 @@ TEST(MachineSpecProperty, AuditCleanSpecsSimulateWithoutThrowing) {
       EXPECT_GT(machine.memory().system_stream_gbs({2, 1}), 0.0);
       const int chips = spec.system.total_chips();
       EXPECT_GT(machine.noc().memory_latency_ns(0, chips - 1), 0.0);
-      if (chips > 1) EXPECT_GT(machine.noc().one_direction_gbs(0, chips - 1), 0.0);
+      if (chips > 1) {
+        EXPECT_GT(machine.noc().one_direction_gbs(0, chips - 1), 0.0);
+      }
     } catch (const std::exception& e) {
       ADD_FAILURE() << "audit-clean spec threw during simulation: " << e.what()
                     << "\nspec:\n"
@@ -119,9 +121,10 @@ TEST(CacheProperty, OccupancyNeverExceedsCapacity) {
     const std::uint64_t span = sets * ways * line * 8;
     for (int i = 0; i < 512; ++i) {
       cache.touch_install(gen.range(0, span - 1));
-      if ((i & 63) == 63)
+      if ((i & 63) == 63) {
         ASSERT_LE(cache.resident_lines(), capacity_lines)
             << "line=" << line << " ways=" << ways << " sets=" << sets;
+      }
     }
     EXPECT_LE(cache.resident_lines(), capacity_lines);
   }
