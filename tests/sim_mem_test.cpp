@@ -2,6 +2,8 @@
 // Fig. 4 behaviours must emerge from the mechanisms.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "arch/spec.hpp"
 #include "sim/mem/bandwidth.hpp"
 
@@ -19,6 +21,11 @@ struct MixRow {
   RwMix mix;
   double paper_gbs;
 };
+
+// Without this gtest prints the row as raw bytes, pointer included, and
+// gtest_discover_tests would name each case after an ASLR-dependent
+// address.
+void PrintTo(const MixRow& row, std::ostream* os) { *os << row.name; }
 
 class TableIII : public ::testing::TestWithParam<MixRow> {};
 

@@ -3,6 +3,8 @@
 // highlights.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "arch/spec.hpp"
 #include "arch/topology.hpp"
 #include "sim/noc/noc.hpp"
@@ -16,8 +18,11 @@ NocModel e870_noc() {
 
 // ------------------------------------------------- Table IV latencies ------
 
+// gtest and gtest_discover_tests name each case after the param's raw
+// bytes, so the row must have no padding: padding bytes are whatever the
+// allocator left there, and the test names would change from run to run.
 struct LatRow {
-  int chip;
+  std::int64_t chip;
   double paper_ns;
 };
 
@@ -26,8 +31,8 @@ class TableIVLatency : public ::testing::TestWithParam<LatRow> {};
 TEST_P(TableIVLatency, WithinTenPercent) {
   const auto noc = e870_noc();
   const auto& row = GetParam();
-  EXPECT_NEAR(noc.memory_latency_ns(0, row.chip), row.paper_ns,
-              row.paper_ns * 0.10);
+  EXPECT_NEAR(noc.memory_latency_ns(0, static_cast<int>(row.chip)),
+              row.paper_ns, row.paper_ns * 0.10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Chips, TableIVLatency,
